@@ -369,7 +369,7 @@ fn p7_attack_detection() {
 }
 
 fn p8_engine_ablation(quick: bool) -> String {
-    println!("## P8 — replay engine ablation (compiled automaton vs direct WeakNext)");
+    println!("## P8 — replay engine ablation (uncached compiled step vs direct WeakNext)");
     // The transitions memo is process-global; every earlier section has
     // already pushed hits and misses into it. Snapshot it here and report
     // deltas so this section's numbers describe this section's work.
@@ -396,16 +396,12 @@ fn p8_engine_ablation(quick: bool) -> String {
         }
     };
     let td = median_time(|| run_all(Engine::Direct), 3);
-    let ta = median_time(|| run_all(Engine::Automaton), 3);
+    // `check_case` with no shared trie: the uncached production step.
+    let ta = median_time(|| run_all(Engine::Trie), 3);
     let (cps_d, cps_a) = (n as f64 / td.as_secs_f64(), n as f64 / ta.as_secs_f64());
     println!("{:>10} | {:>12} | {:>12}", "engine", "100 cases", "cases/s");
     println!("{:>10} | {:>12} | {:>12.0}", "direct", fmt_dur(td), cps_d);
-    println!(
-        "{:>10} | {:>12} | {:>12.0}",
-        "automaton",
-        fmt_dur(ta),
-        cps_a
-    );
+    println!("{:>10} | {:>12} | {:>12.0}", "compiled", fmt_dur(ta), cps_a);
     let auto = encoded.automaton.stats();
     let cache = cows::semantics::cache_stats().since(&cache_baseline);
     let edge_total = auto.edge_hits + auto.edge_misses;
@@ -428,7 +424,7 @@ fn p8_engine_ablation(quick: bool) -> String {
            \"process\": \"healthcare_treatment\",\n  \
            \"cases\": {n},\n  \
            \"direct\": {{ \"seconds\": {:.6}, \"cases_per_sec\": {:.1} }},\n  \
-           \"automaton\": {{ \"seconds\": {:.6}, \"cases_per_sec\": {:.1}, \
+           \"compiled\": {{ \"seconds\": {:.6}, \"cases_per_sec\": {:.1}, \
              \"states\": {}, \"expanded\": {}, \"edge_hits\": {}, \
              \"edge_misses\": {}, \"edge_hit_rate\": {:.4} }},\n  \
            \"speedup\": {:.2},\n  \
@@ -1858,7 +1854,7 @@ fn p17_run_all<'a>(
 fn p17_trie(quick: bool, gate: bool) -> String {
     use workload::dupheavy::{generate_dupheavy_with, DupHeavyConfig};
 
-    println!("## P17 — prefix-sharing replay trie vs automaton (duplicate-heavy day)");
+    println!("## P17 — shared replay trie vs uncached compiled step (duplicate-heavy day)");
     let cfg = DupHeavyConfig {
         cases: if quick { 1_200 } else { 4_000 },
         archetypes: 4,
@@ -1871,17 +1867,15 @@ fn p17_trie(quick: bool, gate: bool) -> String {
     let h = hospital_roles();
     let cases: Vec<cows::symbol::Symbol> = day.trail.cases().into_iter().collect();
     // Project each case once: the per-case replay core is what the two
-    // engines differ on, and what we time. (Projection itself is
-    // engine-independent and would only dilute the comparison.)
+    // arms differ on, and what we time. (Projection itself is
+    // arm-independent and would only dilute the comparison.)
     let projected: Vec<Vec<&audit::LogEntry>> =
         cases.iter().map(|&c| day.trail.project_case(c)).collect();
     let entries_total: usize = projected.iter().map(|c| c.len()).sum();
 
-    let auto_opts = CheckOptions {
-        engine: Engine::Automaton,
-        ..CheckOptions::default()
-    };
-    let trie_opts = CheckOptions {
+    // Both arms run the production engine; they differ only in whether a
+    // shared trie memoizes the compiled step across cases.
+    let opts = CheckOptions {
         engine: Engine::Trie,
         ..CheckOptions::default()
     };
@@ -1900,12 +1894,12 @@ fn p17_trie(quick: bool, gate: bool) -> String {
                     &encoded,
                     &h,
                     entries,
-                    &trie_opts,
+                    &opts,
                     &obs::Recorder::noop(),
                     Some(tr),
                 )
                 .expect("trie replay failed"),
-                None => check_case(&encoded, &h, entries, &auto_opts).expect("replay failed"),
+                None => check_case(&encoded, &h, entries, &opts).expect("replay failed"),
             });
             best = best.min(t.elapsed().as_secs_f64());
             last = out;
@@ -1913,12 +1907,12 @@ fn p17_trie(quick: bool, gate: bool) -> String {
         (best, last)
     };
 
-    let (auto_t1, auto_r1) = time_one(1, false);
-    let (auto_t8, auto_r8) = time_one(8, false);
+    let (uncached_t1, uncached_r1) = time_one(1, false);
+    let (uncached_t8, uncached_r8) = time_one(8, false);
     let (trie_t1, trie_r1) = time_one(1, true);
     let (trie_t8, trie_r8) = time_one(8, true);
 
-    // Byte-identity of the observable outputs across engines and thread
+    // Byte-identity of the observable outputs across arms and thread
     // counts — this never degrades to a warning, even outside --gate.
     let fp = |checks: &[CaseCheck]| -> Vec<(String, usize, usize)> {
         checks
@@ -1932,15 +1926,15 @@ fn p17_trie(quick: bool, gate: bool) -> String {
             })
             .collect()
     };
-    let baseline = fp(&auto_r1);
+    let baseline = fp(&uncached_r1);
     for (label, run) in [
-        ("automaton/8", fp(&auto_r8)),
+        ("uncached/8", fp(&uncached_r8)),
         ("trie/1", fp(&trie_r1)),
         ("trie/8", fp(&trie_r8)),
     ] {
         assert_eq!(
             baseline, run,
-            "P17: {label} verdicts diverged from automaton/1"
+            "P17: {label} verdicts diverged from uncached/1"
         );
     }
     let infringing = baseline
@@ -1955,7 +1949,7 @@ fn p17_trie(quick: bool, gate: bool) -> String {
             &encoded,
             &h,
             entries,
-            &trie_opts,
+            &opts,
             &obs::Recorder::noop(),
             Some(&stats_trie),
         )
@@ -1964,23 +1958,23 @@ fn p17_trie(quick: bool, gate: bool) -> String {
     let ts = stats_trie.stats();
 
     let cps = |secs: f64| cfg.cases as f64 / secs;
-    let speedup_t1 = auto_t1 / trie_t1;
-    let speedup_t8 = auto_t8 / trie_t8;
+    let speedup_t1 = uncached_t1 / trie_t1;
+    let speedup_t8 = uncached_t8 / trie_t8;
     println!(
         "{} cases ({} entries, {} stamped, {} infringing), min of {reps}:",
         cfg.cases, entries_total, day.stamped, infringing
     );
     println!(
-        "  1 thread : automaton {:>9} ({:>9.0} cases/s) | trie {:>9} ({:>9.0} cases/s) | {speedup_t1:.1}x",
-        fmt_dur(Duration::from_secs_f64(auto_t1)),
-        cps(auto_t1),
+        "  1 thread : uncached {:>9} ({:>9.0} cases/s) | trie {:>9} ({:>9.0} cases/s) | {speedup_t1:.1}x",
+        fmt_dur(Duration::from_secs_f64(uncached_t1)),
+        cps(uncached_t1),
         fmt_dur(Duration::from_secs_f64(trie_t1)),
         cps(trie_t1),
     );
     println!(
-        "  8 threads: automaton {:>9} ({:>9.0} cases/s) | trie {:>9} ({:>9.0} cases/s) | {speedup_t8:.1}x",
-        fmt_dur(Duration::from_secs_f64(auto_t8)),
-        cps(auto_t8),
+        "  8 threads: uncached {:>9} ({:>9.0} cases/s) | trie {:>9} ({:>9.0} cases/s) | {speedup_t8:.1}x",
+        fmt_dur(Duration::from_secs_f64(uncached_t8)),
+        cps(uncached_t8),
         fmt_dur(Duration::from_secs_f64(trie_t8)),
         cps(trie_t8),
     );
@@ -2004,7 +1998,7 @@ fn p17_trie(quick: bool, gate: bool) -> String {
 
     format!(
         "{{\n  \
-           \"benchmark\": \"replay_trie_vs_automaton\",\n  \
+           \"benchmark\": \"replay_trie_vs_uncached\",\n  \
            \"workload\": \"dupheavy_treatment_day\",\n  \
            \"cases\": {},\n  \
            \"entries\": {entries_total},\n  \
@@ -2013,8 +2007,8 @@ fn p17_trie(quick: bool, gate: bool) -> String {
            \"duplicate_fraction\": {},\n  \
            \"archetypes\": {},\n  \
            \"reps\": {reps},\n  \
-           \"automaton\": {{ \"t1_seconds\": {auto_t1:.6}, \"t1_cases_per_s\": {:.1}, \
-             \"t8_seconds\": {auto_t8:.6}, \"t8_cases_per_s\": {:.1} }},\n  \
+           \"uncached\": {{ \"t1_seconds\": {uncached_t1:.6}, \"t1_cases_per_s\": {:.1}, \
+             \"t8_seconds\": {uncached_t8:.6}, \"t8_cases_per_s\": {:.1} }},\n  \
            \"trie\": {{ \"t1_seconds\": {trie_t1:.6}, \"t1_cases_per_s\": {:.1}, \
              \"t8_seconds\": {trie_t8:.6}, \"t8_cases_per_s\": {:.1}, \
              \"hits\": {}, \"misses\": {}, \"frontiers\": {}, \"transitions\": {}, \
@@ -2026,8 +2020,8 @@ fn p17_trie(quick: bool, gate: bool) -> String {
         day.stamped,
         cfg.duplicate_fraction,
         cfg.archetypes,
-        cps(auto_t1),
-        cps(auto_t8),
+        cps(uncached_t1),
+        cps(uncached_t8),
         cps(trie_t1),
         cps(trie_t8),
         ts.hits,

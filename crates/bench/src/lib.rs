@@ -212,7 +212,8 @@ pub fn spill_codec_fixtures() -> (
         .filter(|c| c.to_string().starts_with("HT-"))
         .max_by_key(|&c| day.trail.project_case(c).len())
         .expect("the day has treatment cases");
-    let mut core = SessionCore::new(&encoded, auditor.options).expect("session open");
+    let mut core = SessionCore::new(&encoded, auditor.options, obs::Recorder::noop(), None)
+        .expect("session open");
     let mut kept: Vec<LogEntry> = Vec::new();
     let mut last_seen = audit::Timestamp(0);
     for e in day.trail.project_case(victim) {
@@ -228,7 +229,7 @@ pub fn spill_codec_fixtures() -> (
         case: victim,
         purpose: policy::samples::treatment(),
         process_key: encoded.snapshot_key(),
-        ids: core.conf_ids().expect("automaton engine").to_vec(),
+        ids: core.conf_ids().expect("compiled engine").to_vec(),
         meta: core.export_meta(),
         entries: purpose_control::EntryBlock::from_entries(&kept),
         entries_dropped: 0,

@@ -36,7 +36,7 @@ use policy::{Policy, PolicyContext};
 use purpose_control::auditor::{Auditor, CaseOutcome, ProcessRegistry, RegisteredProcess};
 use purpose_control::lenient::{check_case_lenient, LenientOptions};
 use purpose_control::parallel::audit_parallel;
-use purpose_control::replay::{check_case, CheckOptions, Engine};
+use purpose_control::replay::{check_case, CheckOptions};
 use purpose_control::startup::StartupStats;
 use purpose_control::{atomic_write_sync, LiveConfig, LiveEvent, ShardedMonitor, SyncPolicy};
 use rand::rngs::StdRng;
@@ -78,12 +78,10 @@ USAGE:
   purposectl explore  <process-file> [--dot]
   purposectl simulate <process-file> --cases <N> [--seed <S>] [--prefix <P>]
   purposectl check    <process-file> --trail <file> --case <name> [--trace] [--lenient <K>]
-                      [--engine <direct|automaton|trie>]
                       [--automaton-cache <dir>] [--no-automaton-cache]
   purposectl audit    --trail <file> [--policy <file>]
                       --process <purpose>=<file>... [--map <prefix>=<purpose>...]
                       [--threads <N>] [--object <obj>] [--max-minutes <M>]
-                      [--engine <direct|automaton|trie>]
                       [--automaton-cache <dir>] [--no-automaton-cache]
                       [--salvage] [--quarantine-out <file>]
                       [--case-deadline-ms <N>] [--case-step-budget <N>]
@@ -98,7 +96,7 @@ USAGE:
                       [--idle-minutes <M>] [--spill-dir <dir>]
                       [--spill-mem-kib <N>]
                       [--durability <always|batched[:N]|never>]
-                      [--engine <direct|automaton|trie>] [--metrics-out <file>]
+                      [--metrics-out <file>]
   purposectl serve    --tenants <name,name,...>
                       --process <purpose>=<file>... [--map <prefix>=<purpose>...]
                       [--policy <file>] [--addr <ip:port>] [--shards <N>]
@@ -106,7 +104,6 @@ USAGE:
                       [--max-open-cases <N>] [--max-entries-per-case <N>]
                       [--max-body-kib <N>] [--io-timeout <secs>]
                       [--durability <always|batched[:N]|never>]
-                      [--engine <direct|automaton|trie>]
                       [--trace-sample <0.0..1.0>] [--trace-slow-ms <N>]
                       [--trace-out <file>] [--access-log <file>]
                       [--flight-dir <dir>]
@@ -134,7 +131,7 @@ Automaton snapshots: check/audit persist the compiled replay automaton as
 process file) and start warm from it on the next run. Stale or corrupt
 snapshots self-invalidate: loading falls back to cold compilation with the
 reason printed, never a wrong verdict. --no-automaton-cache disables both
-loading and saving; --engine direct never touches snapshots.
+loading and saving.
 
 Live monitoring: watch tails an append-only trail file and replays every
 entry as it lands, raising alarms the moment a case deviates instead of at
@@ -248,21 +245,6 @@ impl Args {
     }
 }
 
-/// Parse `--engine` (default: the compiled automaton; `direct` keeps the
-/// per-case `WeakNext` recomputation for ablation and debugging; `trie`
-/// adds the cross-case memoizing replay trie on top of the automaton).
-fn engine_flag(args: &Args) -> Result<Engine, CliError> {
-    match args.flag("engine") {
-        None => Ok(Engine::default()),
-        Some("direct") => Ok(Engine::Direct),
-        Some("automaton") => Ok(Engine::Automaton),
-        Some("trie") => Ok(Engine::Trie),
-        Some(other) => Err(fail(format!(
-            "--engine: expected `direct`, `automaton` or `trie`, got `{other}`"
-        ))),
-    }
-}
-
 /// Parse `--durability` into the fsync policy every persistent artifact of
 /// the run is written under (spill log, checkpoints, report exports).
 /// Default: `batched` — group-sync appends, full write→fsync→rename→dir-fsync
@@ -284,8 +266,7 @@ fn write_export(path: &str, bytes: &[u8], policy: SyncPolicy, what: &str) -> Res
 
 /// Where the automaton snapshot for `process_path` lives, honoring
 /// `--automaton-cache <dir>` and `--no-automaton-cache`. `None` disables
-/// snapshot persistence entirely; `--engine direct` callers must also skip
-/// it (the direct engine never touches the automaton).
+/// snapshot persistence entirely.
 fn automaton_cache_file(args: &Args, process_path: &str) -> Option<PathBuf> {
     if args.has("no-automaton-cache") {
         return None;
@@ -508,17 +489,12 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
         max_case_minutes: args
             .flag("max-minutes")
             .map(|v| v.parse().unwrap_or(u64::MAX)),
-        engine: engine_flag(args)?,
         ..CheckOptions::default()
     };
 
     // Warm-start lifecycle: load before replay, re-save after if replay
-    // expanded states the snapshot didn't carry. The direct engine never
-    // touches the automaton, so snapshots are skipped entirely there.
-    let cache = match opts.engine {
-        Engine::Direct => None,
-        _ => automaton_cache_file(args, &process_path),
-    };
+    // expanded states the snapshot didn't carry.
+    let cache = automaton_cache_file(args, &process_path);
     let diag = Recorder::new();
     let (startup, expanded_at_start) = warm_start(&encoded, cache.as_deref());
     if cache.is_some() {
@@ -566,7 +542,7 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
     Ok(i32::from(!res.verdict.is_compliant()))
 }
 
-/// Everything `audit` and `watch` share: the engine-configured auditor
+/// Everything `audit` and `watch` share: the configured auditor
 /// plus the handles the snapshot lifecycle needs after the run.
 struct AuditorSetup {
     auditor: Auditor,
@@ -577,15 +553,14 @@ struct AuditorSetup {
     startups: Vec<StartupStats>,
 }
 
-/// Build the process registry, case map, policy, and engine from the
-/// common `--process/--map/--policy/--engine` flags.
+/// Build the process registry, case map and policy from the common
+/// `--process/--map/--policy` flags.
 fn build_auditor(args: &Args, diag: &Recorder) -> Result<AuditorSetup, CliError> {
     let mut registry = ProcessRegistry::new();
     let processes = args.flag_all("process");
     if processes.is_empty() {
         return Err(fail("at least one --process <purpose>=<file> is required"));
     }
-    let engine = engine_flag(args)?;
     let mut snapshots: Vec<(Arc<RegisteredProcess>, PathBuf, usize)> = Vec::new();
     let mut startups: Vec<StartupStats> = Vec::new();
     for spec in processes {
@@ -593,10 +568,7 @@ fn build_auditor(args: &Args, diag: &Recorder) -> Result<AuditorSetup, CliError>
             .split_once('=')
             .ok_or_else(|| fail(format!("--process `{spec}`: expected <purpose>=<file>")))?;
         registry.register(purpose, load_process(path)?);
-        let cache = match engine {
-            Engine::Direct => None,
-            _ => automaton_cache_file(args, path),
-        };
+        let cache = automaton_cache_file(args, path);
         if let (Some(cache), Some(rp)) = (cache, registry.process_for(cows::sym(purpose))) {
             let (startup, expanded_at_start) = warm_start(&rp.encoded, Some(&cache));
             let purpose = purpose.to_string();
@@ -619,8 +591,7 @@ fn build_auditor(args: &Args, diag: &Recorder) -> Result<AuditorSetup, CliError>
         None => Policy::new(),
     };
     let context = PolicyContext::new(hospital_roles());
-    let mut auditor = Auditor::new(registry, policy, context);
-    auditor.options.engine = engine;
+    let auditor = Auditor::new(registry, policy, context);
     Ok(AuditorSetup {
         auditor,
         snapshots,
@@ -2032,31 +2003,6 @@ flows
         assert!(out.contains("INFRINGEMENT"));
     }
 
-    #[test]
-    fn check_engine_flag_selects_and_validates() {
-        let p = write_temp("order13.bpmn", ORDER);
-        let (_, trail_text) = run_capture(&[
-            "simulate", &p, "--cases", "1", "--seed", "5", "--prefix", "ORD-",
-        ]);
-        let t = write_temp("order13.trail", &trail_text);
-        for engine in ["direct", "automaton"] {
-            let (code, out) = run_capture(&[
-                "check", &p, "--trail", &t, "--case", "ORD-1", "--engine", engine,
-            ]);
-            assert_eq!(code, 0, "{out}");
-            assert!(out.contains("Compliant"));
-        }
-        let mut buf = Vec::new();
-        let err = run(
-            &args(&[
-                "check", &p, "--trail", &t, "--case", "ORD-1", "--engine", "magic",
-            ]),
-            &mut buf,
-        )
-        .unwrap_err();
-        assert!(err.message.contains("--engine"));
-    }
-
     /// A fresh directory so snapshot tests never share cache files with
     /// each other or with other tests' process files.
     fn temp_cache_dir(name: &str) -> String {
@@ -2132,31 +2078,6 @@ flows
             "--automaton-cache",
             &cache,
             "--no-automaton-cache",
-        ]);
-        assert_eq!(code, 0, "{out}");
-        assert!(!out.contains("automaton:"), "{out}");
-        assert_eq!(std::fs::read_dir(&cache).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn direct_engine_skips_snapshots() {
-        let p = write_temp("order16.bpmn", ORDER);
-        let (_, trail_text) = run_capture(&[
-            "simulate", &p, "--cases", "1", "--seed", "5", "--prefix", "ORD-",
-        ]);
-        let t = write_temp("order16.trail", &trail_text);
-        let cache = temp_cache_dir("direct");
-        let (code, out) = run_capture(&[
-            "check",
-            &p,
-            "--trail",
-            &t,
-            "--case",
-            "ORD-1",
-            "--engine",
-            "direct",
-            "--automaton-cache",
-            &cache,
         ]);
         assert_eq!(code, 0, "{out}");
         assert!(!out.contains("automaton:"), "{out}");

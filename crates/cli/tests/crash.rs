@@ -45,22 +45,12 @@ fn e2e_entries() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Child-process harness (kill -9 variant of the tests/serve.rs harness)
+// Child-process harness (kill -9 variant of the serve.rs harness)
 // ---------------------------------------------------------------------------
 
 fn purposectl_bin() -> PathBuf {
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop();
-    if path.ends_with("deps") {
-        path.pop();
-    }
-    path.push("purposectl");
-    assert!(
-        path.exists(),
-        "purposectl binary not found at {} — run the full `cargo test` (workspace build) first",
-        path.display()
-    );
-    path
+    // Cargo builds the package's binary before its integration tests.
+    PathBuf::from(env!("CARGO_BIN_EXE_purposectl"))
 }
 
 struct ServerProc {
@@ -203,7 +193,7 @@ fn assert_startup_typed(server: &ServerProc) {
 }
 
 // ---------------------------------------------------------------------------
-// Workload plumbing (shared shape with tests/serve.rs)
+// Workload plumbing (shared shape with serve.rs)
 // ---------------------------------------------------------------------------
 
 fn hospital_auditor() -> Auditor {
@@ -384,7 +374,7 @@ fn sigkill_serve_restart_resumes_to_identical_verdicts() {
         // The postmortem the crash left behind: schema-valid lines whose
         // committed offsets never exceed what was actually submitted.
         let flight_schema_text = std::fs::read_to_string(
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("schemas/flight.schema.json"),
+            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../schemas/flight.schema.json"),
         )
         .expect("flight schema");
         let flight_schema = obs::parse_json(&flight_schema_text).expect("schema parses");

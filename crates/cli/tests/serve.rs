@@ -55,21 +55,8 @@ fn e2e_entries() -> usize {
 // ---------------------------------------------------------------------------
 
 fn purposectl_bin() -> PathBuf {
-    // This test binary sits in target/<profile>/deps/; the CLI binary one
-    // level up. `cargo test` compiles the whole workspace (including the
-    // purposectl bin) before running any test, so it exists by now.
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop();
-    if path.ends_with("deps") {
-        path.pop();
-    }
-    path.push("purposectl");
-    assert!(
-        path.exists(),
-        "purposectl binary not found at {} — run the full `cargo test` (workspace build) first",
-        path.display()
-    );
-    path
+    // Cargo builds the package's binary before its integration tests.
+    PathBuf::from(env!("CARGO_BIN_EXE_purposectl"))
 }
 
 struct ServerProc {
@@ -875,7 +862,7 @@ fn soak_eight_threads_preserve_counter_invariant() {
 
     // The metrics document itself validates against the closed schema.
     let schema_text = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("schemas/metrics.schema.json"),
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../schemas/metrics.schema.json"),
     )
     .expect("schema file");
     let schema = obs::parse_json(&schema_text).expect("schema parses");
@@ -891,7 +878,7 @@ fn soak_eight_threads_preserve_counter_invariant() {
 
 fn load_schema(name: &str) -> obs::JsonValue {
     let text = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("schemas/{name}")),
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../schemas/{name}")),
     )
     .expect("schema file");
     obs::parse_json(&text).expect("schema parses")

@@ -33,9 +33,10 @@ pub struct RegisteredProcess {
     pub purpose: Symbol,
     pub model: ProcessModel,
     pub encoded: Encoded,
-    /// Per-process replay trie, shared by every case replayed under
-    /// [`crate::replay::Engine::Trie`] (batch, parallel and live); inert
-    /// under the other engines.
+    /// Per-process replay trie, shared by every batch-audited case
+    /// ([`Auditor::check_one_case`], hence also parallel audits) under
+    /// [`crate::replay::Engine::Trie`]. Live sessions walk the automaton
+    /// uncached; the direct engine ignores it.
     pub trie: Arc<ReplayTrie>,
 }
 

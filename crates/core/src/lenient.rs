@@ -28,44 +28,30 @@ use policy::hierarchy::RoleHierarchy;
 use std::collections::HashMap;
 
 /// `WeakNext(state)` through the engine selected by `opts`: the direct path
-/// recomputes per call; the automaton path interns the state into the
+/// recomputes per call; the compiled path interns the state into the
 /// process's shared [`cows::automaton::ProcessAutomaton`] and materializes
 /// the compiled edges, so the lenient replay also benefits from (and
-/// contributes to) cross-case warming.
+/// contributes to) cross-case warming. The lenient replay explores
+/// hypothetical silent steps, which the replay trie does not memoize.
 fn expand(
     encoded: &Encoded,
     state: &Marked,
     opts: &CheckOptions,
 ) -> Result<Vec<WeakSuccessor>, CheckError> {
-    match opts.engine {
-        Engine::Direct => Ok(weak_next(state, &encoded.observability, opts.weaknext)?),
-        // The lenient replay explores hypothetical silent steps, which the
-        // replay trie does not memoize; the trie engine therefore rides the
-        // plain interned-automaton path here.
-        Engine::Automaton | Engine::Trie => {
-            let id = encoded.automaton.intern(state.clone());
-            Ok(encoded
-                .automaton
-                .weak_successors(id, &encoded.observability, opts.weaknext)?)
-        }
-    }
+    let (auto, obs, limits) = (&encoded.automaton, &encoded.observability, opts.weaknext);
+    Ok(match opts.engine {
+        Engine::Direct => weak_next(state, obs, limits)?,
+        Engine::Trie => auto.weak_successors(auto.intern(state.clone()), obs, limits)?,
+    })
 }
 
 /// Engine-dispatched `can_terminate_silently`.
 fn quiesces(encoded: &Encoded, state: &Marked, opts: &CheckOptions) -> Result<bool, CheckError> {
-    match opts.engine {
-        Engine::Direct => Ok(can_terminate_silently(
-            state,
-            &encoded.observability,
-            opts.weaknext,
-        )?),
-        Engine::Automaton | Engine::Trie => {
-            let id = encoded.automaton.intern(state.clone());
-            Ok(encoded
-                .automaton
-                .can_quiesce(id, &encoded.observability, opts.weaknext)?)
-        }
-    }
+    let (auto, obs, limits) = (&encoded.automaton, &encoded.observability, opts.weaknext);
+    Ok(match opts.engine {
+        Engine::Direct => can_terminate_silently(state, obs, limits)?,
+        Engine::Trie => auto.can_quiesce(auto.intern(state.clone()), obs, limits)?,
+    })
 }
 
 /// Options for the tolerant replay.

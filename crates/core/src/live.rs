@@ -50,8 +50,8 @@ use crate::checkpoint::{
 use crate::churn::{decode_churn, encode_churn, ChurnCheckpoint, EntryBlock, CHURN_MAGIC};
 use crate::durable::SyncPolicy;
 use crate::error::CheckError;
-use crate::replay::{CaseCheck, Engine, Infringement, Verdict};
-use crate::session::{FeedOutcome, SessionCore, SessionMeta, SessionState};
+use crate::replay::{CaseCheck, Infringement, Verdict};
+use crate::session::{FeedOutcome, SessionCore};
 use crate::severity::{assess, SeverityAssessment};
 use crate::spill::SpillStore;
 use audit::entry::LogEntry;
@@ -476,7 +476,14 @@ impl LiveAuditor {
                     self.stats.unresolved += 1;
                     return Ok(LiveEvent::Unresolved { case });
                 };
-                let core = self.open_session(process)?;
+                // Live sessions walk the automaton uncached: the shared
+                // trie measured slower on served churn (DESIGN §3.14).
+                let core = SessionCore::new(
+                    &process.encoded,
+                    self.auditor.options,
+                    obs::Recorder::noop(),
+                    None,
+                )?;
                 self.cases.insert(
                     case,
                     LiveCase {
@@ -602,62 +609,6 @@ impl LiveAuditor {
         None
     }
 
-    /// Open a session at the process's initial configuration through the
-    /// configured engine. Under [`Engine::Trie`] every live case of a
-    /// process shares the process's replay trie, so a monitor churning
-    /// through duplicate-heavy traffic steps mostly from cache.
-    fn open_session(&self, process: &RegisteredProcess) -> Result<SessionCore, CheckError> {
-        match self.auditor.options.engine {
-            Engine::Trie => SessionCore::with_trie(
-                &process.encoded,
-                self.auditor.options,
-                process.trie.clone(),
-                self.auditor.context.roles(),
-                obs::Recorder::noop(),
-            ),
-            _ => SessionCore::new(&process.encoded, self.auditor.options),
-        }
-    }
-
-    /// Engine-dispatched [`SessionCore::from_interned`] (churn rehydrate).
-    fn session_from_interned(
-        &self,
-        process: &RegisteredProcess,
-        ids: Vec<cows::automaton::StateId>,
-        meta: SessionMeta,
-    ) -> Result<SessionCore, CheckError> {
-        match self.auditor.options.engine {
-            Engine::Trie => SessionCore::from_interned_with_trie(
-                &process.encoded,
-                self.auditor.options,
-                process.trie.clone(),
-                self.auditor.context.roles(),
-                ids,
-                meta,
-            ),
-            _ => SessionCore::from_interned(&process.encoded, self.auditor.options, ids, meta),
-        }
-    }
-
-    /// Engine-dispatched [`SessionCore::from_state`] (durable rehydrate).
-    fn session_from_state(
-        &self,
-        process: &RegisteredProcess,
-        state: SessionState,
-    ) -> Result<SessionCore, CheckError> {
-        match self.auditor.options.engine {
-            Engine::Trie => SessionCore::from_state_with_trie(
-                &process.encoded,
-                self.auditor.options,
-                process.trie.clone(),
-                self.auditor.context.roles(),
-                state,
-                obs::Recorder::noop(),
-            ),
-            _ => SessionCore::from_state(&process.encoded, self.auditor.options, state),
-        }
-    }
-
     fn peek_spilled(&self, case: Symbol) -> Result<CaseCheck, CheckError> {
         let bytes = self.load_spilled(case)?;
         let (process, core) = self.decode_spilled(&bytes)?;
@@ -675,14 +626,19 @@ impl LiveAuditor {
                 detail: e.to_string(),
             })?;
             let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-            let core = self.session_from_interned(&process, ckpt.ids, ckpt.meta)?;
+            let core = SessionCore::from_interned(
+                &process.encoded,
+                self.auditor.options,
+                ckpt.ids,
+                ckpt.meta,
+            )?;
             Ok((process, core))
         } else {
             let ckpt = decode_case(bytes).map_err(|e| CheckError::Checkpoint {
                 detail: e.to_string(),
             })?;
             let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-            let core = self.session_from_state(&process, ckpt.state)?;
+            let core = SessionCore::from_state(&process.encoded, self.auditor.options, ckpt.state)?;
             Ok((process, core))
         }
     }
@@ -734,7 +690,7 @@ impl LiveAuditor {
     /// Evict one resident case to the spill store. No-op result for a case
     /// that is not resident.
     ///
-    /// Automaton-engine sessions travel as the run-local `PCLE` churn
+    /// Compiled-engine sessions travel as the run-local `PCLE` churn
     /// envelope — raw state ids, no term serialization — which is what
     /// makes eviction cheap enough for an undersized cap. Direct-engine
     /// sessions have no shared automaton to point into and fall back to
@@ -817,34 +773,40 @@ impl LiveAuditor {
             .ok_or_else(|| CheckError::Checkpoint {
                 detail: format!("case {case} is not in the spill store"),
             })?;
-        let (process, core, entries, entries_dropped, last_seen) =
-            if bytes.len() >= 4 && bytes[..4] == CHURN_MAGIC {
-                let ckpt = decode_churn(&bytes).map_err(|e| CheckError::Checkpoint {
-                    detail: e.to_string(),
-                })?;
-                let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-                let core = self.session_from_interned(&process, ckpt.ids, ckpt.meta)?;
-                (
-                    process,
-                    core,
-                    ckpt.entries,
-                    ckpt.entries_dropped,
-                    ckpt.last_seen,
-                )
-            } else {
-                let ckpt = decode_case(&bytes).map_err(|e| CheckError::Checkpoint {
-                    detail: e.to_string(),
-                })?;
-                let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-                let core = self.session_from_state(&process, ckpt.state)?;
-                (
-                    process,
-                    core,
-                    EntryBlock::from_entries(&ckpt.entries),
-                    ckpt.entries_dropped,
-                    ckpt.last_seen,
-                )
-            };
+        let (process, core, entries, entries_dropped, last_seen) = if bytes.len() >= 4
+            && bytes[..4] == CHURN_MAGIC
+        {
+            let ckpt = decode_churn(&bytes).map_err(|e| CheckError::Checkpoint {
+                detail: e.to_string(),
+            })?;
+            let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
+            let core = SessionCore::from_interned(
+                &process.encoded,
+                self.auditor.options,
+                ckpt.ids,
+                ckpt.meta,
+            )?;
+            (
+                process,
+                core,
+                ckpt.entries,
+                ckpt.entries_dropped,
+                ckpt.last_seen,
+            )
+        } else {
+            let ckpt = decode_case(&bytes).map_err(|e| CheckError::Checkpoint {
+                detail: e.to_string(),
+            })?;
+            let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
+            let core = SessionCore::from_state(&process.encoded, self.auditor.options, ckpt.state)?;
+            (
+                process,
+                core,
+                EntryBlock::from_entries(&ckpt.entries),
+                ckpt.entries_dropped,
+                ckpt.last_seen,
+            )
+        };
         self.tick += 1;
         let shielded_until = self.config.eviction_debounce.map_or(0, |d| self.tick + d);
         self.cases.insert(
@@ -869,7 +831,7 @@ impl LiveAuditor {
     /// (the restore path), validating it against the current registry.
     fn admit(&mut self, ckpt: CaseCheckpoint) -> Result<LiveCase, CheckError> {
         let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-        let core = self.session_from_state(&process, ckpt.state)?;
+        let core = SessionCore::from_state(&process.encoded, self.auditor.options, ckpt.state)?;
         self.tick += 1;
         Ok(LiveCase {
             process,

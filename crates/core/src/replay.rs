@@ -33,30 +33,23 @@ pub struct Configuration {
 ///
 /// Both engines implement exactly Algorithm 1 and produce identical
 /// verdicts, traces and exploration counts (asserted by the
-/// `engine_equivalence` property test). They differ only in how the
-/// observable successors are obtained:
+/// `engine_equivalence` property test and `tests/trie.rs`):
 ///
+/// * [`Engine::Trie`], the production engine, walks the process's shared
+///   [`cows::automaton::ProcessAutomaton`]: states are interned `u32` ids
+///   whose successor edges are compiled once per process, and one entry is
+///   one compiled step over the live id set. Batch audits that pass a
+///   shared [`crate::trie::ReplayTrie`] memoize those steps across cases;
+///   every other session walks the automaton uncached;
 /// * [`Engine::Direct`] calls [`cows::weaknext::weak_next`] on owned
 ///   [`Marked`] states every time a configuration is expanded — the
-///   paper-faithful baseline, kept for ablation;
-/// * [`Engine::Automaton`] walks the process's shared
-///   [`cows::automaton::ProcessAutomaton`]: states are interned `u32` ids
-///   and each state's successor edges are computed once per process (not
-///   once per case), so replaying many cases of the same process is
-///   integer-automaton walking;
-/// * [`Engine::Trie`] layers the [`crate::trie::ReplayTrie`] over the
-///   automaton: whole `configuration-set × observation` steps are
-///   memoized on interned frontier rows, so observation prefixes shared
-///   *across cases* cost one automaton walk instead of N.
+///   paper-faithful reference the equivalence tests compare against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
-    /// Recompute `WeakNext` per configuration (no cross-case sharing).
+    /// Recompute `WeakNext` per configuration (the test oracle).
     Direct,
-    /// Walk the lazily compiled, thread-shared observable-step automaton.
+    /// Step the compiled automaton, memoized by a shared trie when given.
     #[default]
-    Automaton,
-    /// Automaton walking behind a cross-case prefix-sharing transition
-    /// cache with dense interned frontiers.
     Trie,
 }
 
@@ -274,8 +267,10 @@ pub fn check_case_traced(
 /// [`check_case_traced`] with an optional shared [`ReplayTrie`]. Under
 /// [`Engine::Trie`] the session memoizes into (and is served from) that
 /// trie, sharing transitions with every other case of the process; without
-/// one, a session-local trie is built — correct but unshared. Other
-/// engines ignore the handle.
+/// one, it walks the automaton uncached. [`Engine::Direct`] ignores the
+/// handle.
+///
+/// [`ReplayTrie`]: crate::trie::ReplayTrie
 pub fn check_case_with(
     encoded: &Encoded,
     hierarchy: &RoleHierarchy,
@@ -284,26 +279,28 @@ pub fn check_case_with(
     recorder: &obs::Recorder,
     trie: Option<&std::sync::Arc<crate::trie::ReplayTrie>>,
 ) -> Result<CaseCheck, CheckError> {
-    let mut core = match (opts.engine, trie) {
-        (Engine::Trie, Some(t)) => {
-            // Whole-case fast path: when the outcome is a pure function of
-            // the replay-relevant projection, duplicate cases skip the
-            // per-entry session walk entirely.
-            if crate::trie::case_memo_eligible(opts) {
-                return crate::trie::replay_case_memoized(
-                    encoded, hierarchy, entries, opts, recorder, t,
-                );
-            }
-            crate::session::SessionCore::with_trie(
-                encoded,
-                *opts,
-                t.clone(),
-                hierarchy,
-                recorder.clone(),
-            )?
-        }
-        _ => crate::session::SessionCore::with_recorder(encoded, *opts, recorder.clone())?,
-    };
+    // Whole-case fast path: when the outcome is a pure function of the
+    // replay-relevant projection, duplicate cases skip the per-entry
+    // session walk entirely.
+    let memo = opts.engine == Engine::Trie && crate::trie::case_memo_eligible(opts);
+    if let Some(t) = trie.filter(|_| memo) {
+        return crate::trie::replay_case_memoized(encoded, hierarchy, entries, opts, recorder, t);
+    }
+    replay_entries(encoded, hierarchy, entries, opts, recorder, trie)
+}
+
+/// Open a session (stepping through `trie` when given), feed `entries` up
+/// to the first rejection, and finish.
+pub(crate) fn replay_entries(
+    encoded: &Encoded,
+    hierarchy: &RoleHierarchy,
+    entries: &[&LogEntry],
+    opts: &CheckOptions,
+    recorder: &obs::Recorder,
+    trie: Option<&std::sync::Arc<crate::trie::ReplayTrie>>,
+) -> Result<CaseCheck, CheckError> {
+    let shared = trie.map(|t| (t, hierarchy));
+    let mut core = crate::session::SessionCore::new(encoded, *opts, recorder.clone(), shared)?;
     for e in entries {
         if let crate::session::FeedOutcome::Rejected(_) = core.feed(encoded, hierarchy, e)? {
             break;
@@ -462,46 +459,27 @@ mod tests {
             vec![ok("Q", "T", 1)],
             vec![],
         ];
+        let opts = |engine| CheckOptions {
+            engine,
+            record_trace: true,
+            ..CheckOptions::default()
+        };
+        let noop = obs::Recorder::noop();
         for model in [fig8_exclusive, fig9_error] {
             for trail in &trails {
                 // Fresh encodings per run so a warmed automaton cannot mask
                 // a divergence in exploration counts.
                 let h = RoleHierarchy::new();
                 let refs: Vec<&LogEntry> = trail.iter().collect();
-                let direct = check_case(
-                    &encode(&model()),
-                    &h,
-                    &refs,
-                    &CheckOptions {
-                        engine: Engine::Direct,
-                        record_trace: true,
-                        ..CheckOptions::default()
-                    },
-                )
-                .unwrap();
-                let automaton = check_case(
-                    &encode(&model()),
-                    &h,
-                    &refs,
-                    &CheckOptions {
-                        engine: Engine::Automaton,
-                        record_trace: true,
-                        ..CheckOptions::default()
-                    },
-                )
-                .unwrap();
-                let trie = check_case(
-                    &encode(&model()),
-                    &h,
-                    &refs,
-                    &CheckOptions {
-                        engine: Engine::Trie,
-                        record_trace: true,
-                        ..CheckOptions::default()
-                    },
-                )
-                .unwrap();
-                for other in [&automaton, &trie] {
+                let direct = check_case(&encode(&model()), &h, &refs, &opts(Engine::Direct));
+                let uncached = check_case(&encode(&model()), &h, &refs, &opts(Engine::Trie));
+                let shared = encode(&model());
+                let trie =
+                    std::sync::Arc::new(crate::trie::ReplayTrie::new(shared.automaton.clone()));
+                let cached =
+                    check_case_with(&shared, &h, &refs, &opts(Engine::Trie), &noop, Some(&trie));
+                let direct = direct.unwrap();
+                for other in [&uncached.unwrap(), &cached.unwrap()] {
                     assert_eq!(direct.verdict, other.verdict);
                     assert_eq!(direct.peak_configurations, other.peak_configurations);
                     assert_eq!(direct.explored_successors, other.explored_successors);

@@ -25,13 +25,15 @@ use crate::trie::ReplayTrie;
 use audit::entry::{LogEntry, TaskStatus};
 use audit::time::Timestamp;
 use bpmn::encode::Encoded;
-use cows::automaton::frontier::FrontierId;
+use cows::automaton::frontier::{DenseBitSet, FrontierId};
 use cows::automaton::{ProcessAutomaton, StateId};
 use cows::observe::Observation;
-use cows::weaknext::{can_terminate_silently, weak_next_traced, Marked, WeakSuccessor};
+use cows::weaknext::{
+    can_terminate_silently, weak_next_traced, Marked, WeakNextLimits, WeakSuccessor,
+};
 use obs::{CaseEvidence, EvidenceStep, EvidenceViolation, ObsEvent, Recorder};
 use policy::hierarchy::RoleHierarchy;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// Outcome of feeding one entry.
@@ -47,26 +49,22 @@ pub enum FeedOutcome {
 /// The configuration set of Algorithm 1, in the representation of the
 /// selected [`Engine`].
 ///
-/// All variants track the same mathematical set of Def. 6 configurations.
-/// `Direct` owns the `Marked` states and their precomputed successors;
-/// `Automaton` holds dense [`StateId`]s into the process's shared
+/// Both variants track the same mathematical set of Def. 6 configurations.
+/// `Direct` owns the `Marked` states and their precomputed successors.
+/// `Compiled` holds dense [`StateId`]s into the process's shared
 /// [`ProcessAutomaton`], whose invariant here is that every live id has
 /// already been expanded (its edges are compiled), so a feed step is pure
-/// table walking. `Trie` holds the same ids as an interned
-/// [`FrontierId`] row in a shared [`ReplayTrie`], so whole
+/// table walking ([`compiled_step`]). With a shared [`ReplayTrie`] the set
+/// is also an interned [`FrontierId`] row of that trie, so whole
 /// `configuration-set × observation` steps memoize across cases.
 #[derive(Clone, Debug)]
 enum ConfSet {
     Direct(Vec<Configuration>),
-    Automaton {
+    Compiled {
         auto: Arc<ProcessAutomaton>,
-        ids: Vec<StateId>,
-    },
-    Trie {
-        trie: Arc<ReplayTrie>,
-        frontier: FrontierId,
-        /// The dense row behind `frontier` (shared with the trie's table).
         ids: Arc<[StateId]>,
+        /// The cross-case step cache and this set's row in it.
+        shared: Option<(Arc<ReplayTrie>, FrontierId)>,
     },
 }
 
@@ -74,15 +72,107 @@ impl ConfSet {
     fn len(&self) -> usize {
         match self {
             ConfSet::Direct(confs) => confs.len(),
-            ConfSet::Automaton { ids, .. } => ids.len(),
-            ConfSet::Trie { ids, .. } => ids.len(),
+            ConfSet::Compiled { ids, .. } => ids.len(),
+        }
+    }
+
+    /// An uncached compiled set over `ids`.
+    fn compiled(auto: Arc<ProcessAutomaton>, ids: impl Into<Arc<[StateId]>>) -> ConfSet {
+        ConfSet::Compiled {
+            auto,
+            ids: ids.into(),
+            shared: None,
         }
     }
 }
 
-/// The automaton-engine invariant: ids stored in the live set were expanded
+/// The compiled-engine invariant: ids stored in the live set were expanded
 /// when inserted, so their edges are always compiled.
 const PRE_EXPANDED: &str = "live configuration ids are expanded on insertion";
+
+/// What one compiled Algorithm-1 step produced.
+#[derive(Debug)]
+pub(crate) struct CompiledStep {
+    /// Match vector in configuration/edge order (the evidence labels).
+    pub matches: Vec<MatchKind>,
+    /// The surviving ids in insertion order; empty ⇒ the entry cannot be
+    /// simulated (process deviation).
+    pub next: Vec<StateId>,
+    /// Successors expanded for the survivors (the `explored` delta).
+    pub explored: usize,
+}
+
+/// One Algorithm-1 step over a compiled configuration set: consume `entry`
+/// from `ids`. This is the production engine's only step; the session
+/// calls it directly and [`ReplayTrie`] calls it on a cache miss.
+///
+/// It is the direct engine's loop over interned ids: interning is
+/// bijective with `Marked` equality and edge order equals `weak_next`
+/// order, so matches, dedup and exploration counts are identical to
+/// [`Engine::Direct`]. Survivors are expanded eagerly (maintaining
+/// [`PRE_EXPANDED`]) so τ-budget errors surface on the same entry as the
+/// direct engine; a warmed automaton answers from the compiled table.
+pub(crate) fn compiled_step(
+    auto: &ProcessAutomaton,
+    encoded: &Encoded,
+    hierarchy: &RoleHierarchy,
+    ids: &[StateId],
+    entry: &LogEntry,
+    limits: WeakNextLimits,
+    recorder: &Recorder,
+) -> Result<CompiledStep, CheckError> {
+    let role_matches = |pool_role| hierarchy.is_specialization_of(entry.role, pool_role);
+    let mut step = CompiledStep {
+        matches: Vec::new(),
+        next: Vec::new(),
+        explored: 0,
+    };
+    // Grown on demand: sizing it by `auto.len()` would take the
+    // automaton's table lock on every step.
+    let mut seen = DenseBitSet::default();
+    for &id in ids {
+        let task_running = auto
+            .state(id)
+            .running
+            .iter()
+            .any(|&(r, q)| q == entry.task && role_matches(r));
+
+        // Line 8: absorbed only if active and successful.
+        if task_running && entry.status == TaskStatus::Success {
+            if seen.insert(id) {
+                step.next.push(id);
+            }
+            step.matches.push(MatchKind::Absorbed);
+            continue;
+        }
+
+        // Lines 9–13: consume a compiled observable edge.
+        let edges = auto.cached_edges(id).expect(PRE_EXPANDED);
+        for &(observation, succ_id) in edges.iter() {
+            let accept = match (observation, entry.status) {
+                (Observation::Task { role, task }, TaskStatus::Success) => {
+                    task == entry.task && role_matches(role)
+                }
+                (Observation::Error, TaskStatus::Failure) => true,
+                _ => false,
+            };
+            if !accept {
+                continue;
+            }
+            step.matches.push(match observation {
+                Observation::Error => MatchKind::Failed,
+                Observation::Task { .. } => MatchKind::Started,
+            });
+            if seen.insert(succ_id) {
+                let succ_edges =
+                    auto.successors_traced(succ_id, &encoded.observability, limits, recorder)?;
+                step.explored += succ_edges.len();
+                step.next.push(succ_id);
+            }
+        }
+    }
+    Ok(step)
+}
 
 /// The portable state of an open session — what
 /// [`SessionCore::export_state`] extracts and [`SessionCore::from_state`]
@@ -128,7 +218,7 @@ pub struct SessionMeta {
 /// The configuration set of one evidence step, in capture form.
 ///
 /// Evidence capture sits on Algorithm 1's per-entry hot path, so it must
-/// not allocate or render strings there. Under the automaton engine a step
+/// not allocate or render strings there. Under the compiled engine a step
 /// stores only the interned state ids (inline when there is a single live
 /// configuration, the common case); the active/token sets and frontier are
 /// recovered from the shared automaton at materialization time — interned
@@ -174,7 +264,7 @@ pub struct RawEvidence {
     verdict: &'static str,
     steps: Vec<RawStep>,
     violation: Option<EvidenceViolation>,
-    /// The shared automaton the step ids point into (automaton engine only).
+    /// The shared automaton the step ids point into (compiled engine only).
     auto: Option<Arc<ProcessAutomaton>>,
 }
 
@@ -279,28 +369,28 @@ pub struct SessionCore {
     /// `opts.record_evidence` is set.
     evidence_steps: Vec<RawStep>,
     evidence_violation: Option<EvidenceViolation>,
-    /// Whether the trie (if any) has been fingerprint-bound to the role
-    /// hierarchy this session replays under. Constructors that receive the
-    /// hierarchy bind eagerly; the hierarchy-free fallback binds on the
-    /// first feed. Always `true` for the other engines.
-    trie_bound: bool,
 }
 
 impl SessionCore {
-    /// Open at the process's initial configuration.
-    pub fn new(encoded: &Encoded, opts: CheckOptions) -> Result<SessionCore, CheckError> {
-        SessionCore::with_recorder(encoded, opts, Recorder::noop())
-    }
-
-    /// [`SessionCore::new`] with an event recorder: replay lifecycle events
+    /// Open at the process's initial configuration. Replay lifecycle events
     /// (entry steps, automaton expansions, `WeakNext` computations) are
-    /// emitted on it as the session advances.
-    pub fn with_recorder(
+    /// emitted on `recorder` as the session advances.
+    ///
+    /// Under [`Engine::Trie`], `shared` names a cross-case [`ReplayTrie`]
+    /// and the role hierarchy the session will be fed under: every step is
+    /// then served from (and memoized into) the trie. The trie is
+    /// fingerprint-bound to that hierarchy here, so a trie reused under a
+    /// different role hierarchy fails fast with
+    /// [`CheckError::EngineConfig`] instead of serving transitions computed
+    /// under different specialization rules. Without a trie the session
+    /// walks the automaton uncached. [`Engine::Direct`] ignores `shared`.
+    pub fn new(
         encoded: &Encoded,
         opts: CheckOptions,
         recorder: Recorder,
+        shared: Option<(&Arc<ReplayTrie>, &RoleHierarchy)>,
     ) -> Result<SessionCore, CheckError> {
-        let (confs, explored, trie_bound) = match opts.engine {
+        let (confs, explored) = match opts.engine {
             Engine::Direct => {
                 let state = encoded.initial();
                 let next =
@@ -309,130 +399,93 @@ impl SessionCore {
                 (
                     ConfSet::Direct(vec![Configuration { state, next }]),
                     explored,
-                    true,
-                )
-            }
-            Engine::Automaton => {
-                let auto = encoded.automaton.clone();
-                let id = auto.initial_id(&encoded.service);
-                let edges =
-                    auto.successors_traced(id, &encoded.observability, opts.weaknext, &recorder)?;
-                let explored = edges.len();
-                (
-                    ConfSet::Automaton {
-                        auto,
-                        ids: vec![id],
-                    },
-                    explored,
-                    true,
                 )
             }
             Engine::Trie => {
-                // Hierarchy-free fallback: a private per-session trie that
-                // binds lazily on the first feed. Correct (same verdicts)
-                // but unshared — callers wanting cross-case memoization go
-                // through [`SessionCore::with_trie`] instead.
-                let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
-                let (frontier, ids, explored) = trie.root(encoded, opts.weaknext, &recorder)?;
-                (
-                    ConfSet::Trie {
-                        trie,
-                        frontier,
-                        ids,
-                    },
-                    explored,
-                    false,
-                )
+                if let Some((trie, hierarchy)) = shared {
+                    debug_assert!(Arc::ptr_eq(trie.automaton(), &encoded.automaton));
+                    trie.bind(hierarchy)?;
+                }
+                let auto = encoded.automaton.clone();
+                let id = auto.initial_id(&encoded.service);
+                let explored = auto
+                    .successors_traced(id, &encoded.observability, opts.weaknext, &recorder)?
+                    .len();
+                let confs = match shared {
+                    Some((trie, _)) => {
+                        let (frontier, ids) = trie.intern_frontier(&[id]);
+                        ConfSet::Compiled {
+                            auto,
+                            ids,
+                            shared: Some((trie.clone(), frontier)),
+                        }
+                    }
+                    None => ConfSet::compiled(auto, [id]),
+                };
+                (confs, explored)
             }
         };
-        Ok(SessionCore {
+        let meta = SessionMeta {
+            peak: 1,
+            explored,
+            consumed: 0,
+            first_time: None,
+            case_name: None,
+        };
+        Ok(SessionCore::assemble(opts, confs, meta, recorder))
+    }
+
+    /// An open session around a configuration set and its Algorithm-1
+    /// bookkeeping, with empty trace and evidence buffers. The wall-clock
+    /// `case_deadline_ms` budget is armed here.
+    fn assemble(
+        opts: CheckOptions,
+        confs: ConfSet,
+        meta: SessionMeta,
+        recorder: Recorder,
+    ) -> SessionCore {
+        SessionCore {
             opts,
             confs,
             steps: Vec::new(),
-            peak: 1,
-            explored,
-            consumed: 0,
-            first_time: None,
+            peak: meta.peak,
+            explored: meta.explored,
+            consumed: meta.consumed,
+            first_time: meta.first_time,
             infringement: None,
             deadline: opts
                 .case_deadline_ms
                 .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
             recorder,
-            case_name: None,
+            case_name: meta.case_name,
             evidence_steps: Vec::new(),
             evidence_violation: None,
-            trie_bound,
-        })
+        }
     }
 
-    /// Open at the process's initial configuration under a *shared*
-    /// [`ReplayTrie`] — the cross-case memoizing variant of the
-    /// [`Engine::Trie`] engine. The trie is fingerprint-bound to
-    /// `hierarchy` here, so a trie reused under a different role hierarchy
-    /// fails fast with [`CheckError::EngineConfig`] instead of serving
-    /// cached transitions computed under different specialization rules.
-    pub fn with_trie(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        trie: Arc<ReplayTrie>,
-        hierarchy: &RoleHierarchy,
-        recorder: Recorder,
-    ) -> Result<SessionCore, CheckError> {
-        debug_assert!(matches!(opts.engine, Engine::Trie));
-        trie.bind(hierarchy)?;
-        let (frontier, ids, explored) = trie.root(encoded, opts.weaknext, &recorder)?;
-        Ok(SessionCore {
-            opts,
-            confs: ConfSet::Trie {
-                trie,
-                frontier,
-                ids,
-            },
-            steps: Vec::new(),
-            peak: 1,
-            explored,
-            consumed: 0,
-            first_time: None,
-            infringement: None,
-            deadline: opts
-                .case_deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder,
-            case_name: None,
-            evidence_steps: Vec::new(),
-            evidence_violation: None,
-            trie_bound: true,
-        })
-    }
-
-    /// Materialize the live configurations (Def. 6). Under the automaton
+    /// Materialize the live configurations (Def. 6). Under the compiled
     /// engine this reconstructs owned `Marked` states and successor vectors
     /// from the compiled tables — use the session for replay and this only
     /// for inspection.
     pub fn configurations(&self) -> Vec<Configuration> {
         match &self.confs {
             ConfSet::Direct(confs) => confs.clone(),
-            ConfSet::Automaton { auto, ids } => Self::materialize_ids(auto, ids),
-            ConfSet::Trie { trie, ids, .. } => Self::materialize_ids(trie.automaton(), ids),
-        }
-    }
-
-    fn materialize_ids(auto: &Arc<ProcessAutomaton>, ids: &[StateId]) -> Vec<Configuration> {
-        ids.iter()
-            .map(|&id| {
-                let edges = auto.cached_edges(id).expect(PRE_EXPANDED);
-                Configuration {
+            ConfSet::Compiled { auto, ids, .. } => ids
+                .iter()
+                .map(|&id| Configuration {
                     state: (*auto.state(id)).clone(),
-                    next: edges
+                    next: auto
+                        .cached_edges(id)
+                        .expect(PRE_EXPANDED)
                         .iter()
                         .map(|&(observation, sid)| WeakSuccessor {
                             observation,
                             state: (*auto.state(sid)).clone(),
                         })
                         .collect(),
-                }
-            })
-            .collect()
+                })
+                .collect(),
+        }
     }
 
     pub fn consumed(&self) -> usize {
@@ -456,14 +509,7 @@ impl SessionCore {
                     v.extend(c.next.iter().map(|s| s.observation.to_string()));
                 }
             }
-            ConfSet::Automaton { auto, ids } => {
-                for &id in ids {
-                    let edges = auto.cached_edges(id).expect(PRE_EXPANDED);
-                    v.extend(edges.iter().map(|(o, _)| o.to_string()));
-                }
-            }
-            ConfSet::Trie { trie, ids, .. } => {
-                let auto = trie.automaton();
+            ConfSet::Compiled { auto, ids, .. } => {
                 for &id in ids.iter() {
                     let edges = auto.cached_edges(id).expect(PRE_EXPANDED);
                     v.extend(edges.iter().map(|(o, _)| o.to_string()));
@@ -484,14 +530,7 @@ impl SessionCore {
                     v.extend(c.state.running.iter().map(|(r, q)| format!("{r}.{q}")));
                 }
             }
-            ConfSet::Automaton { auto, ids } => {
-                for &id in ids {
-                    let state = auto.state(id);
-                    v.extend(state.running.iter().map(|(r, q)| format!("{r}.{q}")));
-                }
-            }
-            ConfSet::Trie { trie, ids, .. } => {
-                let auto = trie.automaton();
+            ConfSet::Compiled { auto, ids, .. } => {
                 for &id in ids.iter() {
                     let state = auto.state(id);
                     v.extend(state.running.iter().map(|(r, q)| format!("{r}.{q}")));
@@ -508,58 +547,28 @@ impl SessionCore {
     fn frontier_size(&self) -> usize {
         match &self.confs {
             ConfSet::Direct(confs) => confs.iter().map(|c| c.next.len()).sum(),
-            ConfSet::Automaton { auto, ids } => ids
+            ConfSet::Compiled { auto, ids, .. } => ids
                 .iter()
                 .map(|&id| auto.cached_edges(id).expect(PRE_EXPANDED).len())
                 .sum(),
-            ConfSet::Trie { trie, ids, .. } => {
-                let auto = trie.automaton();
-                ids.iter()
-                    .map(|&id| auto.cached_edges(id).expect(PRE_EXPANDED).len())
-                    .sum()
-            }
         }
     }
 
-    /// Token tasks (Fig. 6) flattened across configurations, sorted and
-    /// deduplicated — the evidence-trace rendering of "what could still
-    /// start".
-    fn token_task_set(&self, encoded: &Encoded) -> Vec<String> {
-        let mut v: Vec<String> = match &self.confs {
+    /// Token tasks (Fig. 6) of each configuration, rendered `role.task`.
+    fn token_tasks(&self, encoded: &Encoded) -> Vec<Vec<String>> {
+        let render = |tasks: &BTreeSet<(cows::Symbol, cows::Symbol)>| -> Vec<String> {
+            tasks.iter().map(|(r, q)| format!("{r}.{q}")).collect()
+        };
+        match &self.confs {
             ConfSet::Direct(confs) => confs
                 .iter()
-                .flat_map(|c| {
-                    c.state
-                        .token_tasks(&encoded.observability)
-                        .iter()
-                        .map(|(r, q)| format!("{r}.{q}"))
-                        .collect::<Vec<_>>()
-                })
+                .map(|c| render(&c.state.token_tasks(&encoded.observability)))
                 .collect(),
-            ConfSet::Automaton { auto, ids } => ids
+            ConfSet::Compiled { auto, ids, .. } => ids
                 .iter()
-                .flat_map(|&id| {
-                    auto.token_tasks(id, &encoded.observability)
-                        .iter()
-                        .map(|(r, q)| format!("{r}.{q}"))
-                        .collect::<Vec<_>>()
-                })
+                .map(|&id| render(&auto.token_tasks(id, &encoded.observability)))
                 .collect(),
-            ConfSet::Trie { trie, ids, .. } => {
-                let auto = trie.automaton();
-                ids.iter()
-                    .flat_map(|&id| {
-                        auto.token_tasks(id, &encoded.observability)
-                            .iter()
-                            .map(|(r, q)| format!("{r}.{q}"))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect()
-            }
-        };
-        v.sort();
-        v.dedup();
-        v
+        }
     }
 
     /// Feed the next log entry of the case (chronological order is the
@@ -630,14 +639,11 @@ impl SessionCore {
             }
         }
 
-        let role_matches = |entry_role: cows::Symbol, pool_role: cows::Symbol| {
-            hierarchy.is_specialization_of(entry_role, pool_role)
-        };
-
-        let mut matches: Vec<MatchKind> = Vec::new();
-
-        let next_confs: ConfSet = match &self.confs {
+        let (matches, next_confs) = match &self.confs {
             ConfSet::Direct(confs) => {
+                let role_matches =
+                    |pool_role| hierarchy.is_specialization_of(entry.role, pool_role);
+                let mut matches: Vec<MatchKind> = Vec::new();
                 let mut next_confs: Vec<Configuration> = Vec::new();
                 let mut seen: HashSet<Marked> = HashSet::new();
                 for conf in confs {
@@ -645,7 +651,7 @@ impl SessionCore {
                         .state
                         .running
                         .iter()
-                        .any(|&(r, q)| q == entry.task && role_matches(entry.role, r));
+                        .any(|&(r, q)| q == entry.task && role_matches(r));
 
                     // Line 8: absorbed only if active and successful.
                     if task_running && entry.status == TaskStatus::Success {
@@ -660,7 +666,7 @@ impl SessionCore {
                     for succ in &conf.next {
                         let accept = match (succ.observation, entry.status) {
                             (Observation::Task { role, task }, TaskStatus::Success) => {
-                                task == entry.task && role_matches(entry.role, role)
+                                task == entry.task && role_matches(role)
                             }
                             (Observation::Error, TaskStatus::Failure) => true,
                             _ => false,
@@ -687,79 +693,17 @@ impl SessionCore {
                         }
                     }
                 }
-                ConfSet::Direct(next_confs)
+                (matches, ConfSet::Direct(next_confs))
             }
-            ConfSet::Automaton { auto, ids } => {
-                // The same loop over interned ids: interning is bijective
-                // with `Marked` equality and edge order equals `weak_next`
-                // order, so matches, dedup and exploration counts are
-                // identical to the direct arm.
-                let mut next_ids: Vec<StateId> = Vec::new();
-                let mut seen: HashSet<StateId> = HashSet::new();
-                for &id in ids {
-                    let state = auto.state(id);
-                    let task_running = state
-                        .running
-                        .iter()
-                        .any(|&(r, q)| q == entry.task && role_matches(entry.role, r));
-
-                    // Line 8: absorbed only if active and successful.
-                    if task_running && entry.status == TaskStatus::Success {
-                        if seen.insert(id) {
-                            next_ids.push(id);
-                        }
-                        matches.push(MatchKind::Absorbed);
-                        continue;
-                    }
-
-                    // Lines 9–13: consume a compiled observable edge.
-                    let edges = auto.cached_edges(id).expect(PRE_EXPANDED);
-                    for &(observation, succ_id) in edges.iter() {
-                        let accept = match (observation, entry.status) {
-                            (Observation::Task { role, task }, TaskStatus::Success) => {
-                                task == entry.task && role_matches(entry.role, role)
-                            }
-                            (Observation::Error, TaskStatus::Failure) => true,
-                            _ => false,
-                        };
-                        if !accept {
-                            continue;
-                        }
-                        matches.push(match observation {
-                            Observation::Error => MatchKind::Failed,
-                            Observation::Task { .. } => MatchKind::Started,
-                        });
-                        if seen.insert(succ_id) {
-                            // Expand eagerly (maintaining the invariant) so
-                            // τ-budget errors surface on the same entry as
-                            // the direct engine; a warmed automaton answers
-                            // from the compiled table.
-                            let succ_edges = auto.successors_traced(
-                                succ_id,
-                                &encoded.observability,
-                                self.opts.weaknext,
-                                &self.recorder,
-                            )?;
-                            self.explored += succ_edges.len();
-                            next_ids.push(succ_id);
-                        }
-                    }
-                }
-                ConfSet::Automaton {
-                    auto: auto.clone(),
-                    ids: next_ids,
-                }
-            }
-            ConfSet::Trie { trie, frontier, .. } => {
-                // One memoized step: the cache key covers everything the
-                // loops above inspect (frontier row, entry role/task,
-                // success-vs-failure), so a hit replays the exact match
-                // vector, survivors and exploration delta the automaton
-                // arm would have produced.
-                if !self.trie_bound {
-                    trie.bind(hierarchy)?;
-                    self.trie_bound = true;
-                }
+            // One memoized step: the cache key covers everything
+            // `compiled_step` inspects (frontier row, entry role/task,
+            // success-vs-failure), so a hit replays the exact match vector,
+            // survivors and exploration delta of a fresh step.
+            ConfSet::Compiled {
+                auto,
+                shared: Some((trie, frontier)),
+                ..
+            } => {
                 let step = trie.step(
                     encoded,
                     hierarchy,
@@ -769,12 +713,29 @@ impl SessionCore {
                     &self.recorder,
                 )?;
                 self.explored += step.explored_delta;
-                matches.extend_from_slice(&step.matches);
-                ConfSet::Trie {
-                    trie: trie.clone(),
-                    frontier: step.next,
+                let next = ConfSet::Compiled {
+                    auto: auto.clone(),
                     ids: step.next_row.clone(),
-                }
+                    shared: Some((trie.clone(), step.next)),
+                };
+                (step.matches.clone(), next)
+            }
+            ConfSet::Compiled {
+                auto,
+                ids,
+                shared: None,
+            } => {
+                let step = compiled_step(
+                    auto,
+                    encoded,
+                    hierarchy,
+                    ids,
+                    entry,
+                    self.opts.weaknext,
+                    &self.recorder,
+                )?;
+                self.explored += step.explored;
+                (step.matches, ConfSet::compiled(auto.clone(), step.next))
             }
         };
 
@@ -820,61 +781,31 @@ impl SessionCore {
             });
         }
         self.peak = self.peak.max(next_confs.len());
+        self.confs = next_confs;
+        self.consumed += 1;
         if self.opts.record_trace {
-            let token_tasks: Vec<Vec<String>> = match &next_confs {
-                ConfSet::Direct(confs) => confs
-                    .iter()
-                    .map(|c| {
-                        c.state
-                            .token_tasks(&encoded.observability)
-                            .iter()
-                            .map(|(r, q)| format!("{r}.{q}"))
-                            .collect()
-                    })
-                    .collect(),
-                ConfSet::Automaton { auto, ids } => ids
-                    .iter()
-                    .map(|&id| {
-                        auto.token_tasks(id, &encoded.observability)
-                            .iter()
-                            .map(|(r, q)| format!("{r}.{q}"))
-                            .collect()
-                    })
-                    .collect(),
-                ConfSet::Trie { trie, ids, .. } => {
-                    let auto = trie.automaton();
-                    ids.iter()
-                        .map(|&id| {
-                            auto.token_tasks(id, &encoded.observability)
-                                .iter()
-                                .map(|(r, q)| format!("{r}.{q}"))
-                                .collect()
-                        })
-                        .collect()
-                }
-            };
             self.steps.push(StepRecord {
                 entry_index,
                 matches: matches.clone(),
-                configurations: next_confs.len(),
-                token_tasks,
+                configurations: self.confs.len(),
+                token_tasks: self.token_tasks(encoded),
             });
         }
-        self.confs = next_confs;
-        self.consumed += 1;
         if self.opts.record_evidence {
             let confs = match &self.confs {
-                ConfSet::Direct(_) => RawConfs::Eager {
-                    active: self.active_tasks(),
-                    tokens: self.token_task_set(encoded),
-                    frontier: self.frontier_size(),
-                    configurations: self.confs.len(),
-                },
-                ConfSet::Automaton { ids, .. } => match ids.as_slice() {
-                    [id] => RawConfs::One(*id),
-                    _ => RawConfs::Many(ids.clone()),
-                },
-                ConfSet::Trie { ids, .. } => match ids.as_ref() {
+                ConfSet::Direct(_) => {
+                    let mut tokens: Vec<String> =
+                        self.token_tasks(encoded).into_iter().flatten().collect();
+                    tokens.sort();
+                    tokens.dedup();
+                    RawConfs::Eager {
+                        active: self.active_tasks(),
+                        tokens,
+                        frontier: self.frontier_size(),
+                        configurations: self.confs.len(),
+                    }
+                }
+                ConfSet::Compiled { ids, .. } => match ids.as_ref() {
                     [id] => RawConfs::One(*id),
                     _ => RawConfs::Many(ids.to_vec()),
                 },
@@ -905,27 +836,20 @@ impl SessionCore {
     /// survive a checkpoint: those buffers replay history, which eviction
     /// exists to shed.
     pub fn export_state(&self) -> SessionState {
-        debug_assert!(
-            self.infringement.is_none(),
-            "closed sessions are retired, not checkpointed"
-        );
+        let meta = self.export_meta();
         let confs = match &self.confs {
             ConfSet::Direct(confs) => confs.iter().map(|c| c.state.clone()).collect(),
-            ConfSet::Automaton { auto, ids } => {
-                ids.iter().map(|&id| (*auto.state(id)).clone()).collect()
-            }
-            ConfSet::Trie { trie, ids, .. } => {
-                let auto = trie.automaton();
+            ConfSet::Compiled { auto, ids, .. } => {
                 ids.iter().map(|&id| (*auto.state(id)).clone()).collect()
             }
         };
         SessionState {
             confs,
-            peak: self.peak,
-            explored: self.explored,
-            consumed: self.consumed,
-            first_time: self.first_time,
-            case_name: self.case_name.clone(),
+            peak: meta.peak,
+            explored: meta.explored,
+            consumed: meta.consumed,
+            first_time: meta.first_time,
+            case_name: meta.case_name,
         }
     }
 
@@ -935,8 +859,7 @@ impl SessionCore {
     pub fn conf_ids(&self) -> Option<&[StateId]> {
         match &self.confs {
             ConfSet::Direct(_) => None,
-            ConfSet::Automaton { ids, .. } => Some(ids),
-            ConfSet::Trie { ids, .. } => Some(ids),
+            ConfSet::Compiled { ids, .. } => Some(ids),
         }
     }
 
@@ -956,8 +879,9 @@ impl SessionCore {
         }
     }
 
-    /// Rebuild an automaton-engine session from raw state ids — the cheap
-    /// rehydrate matching [`SessionCore::conf_ids`] / `export_meta`.
+    /// Rebuild a compiled-engine session from raw state ids — the cheap
+    /// rehydrate matching [`SessionCore::conf_ids`] / `export_meta`. The
+    /// rebuilt session walks the automaton uncached.
     ///
     /// The ids must come from the same run and the same shared automaton
     /// (which only ever grows, so any id this process issued stays valid);
@@ -973,7 +897,7 @@ impl SessionCore {
         ids: Vec<StateId>,
         meta: SessionMeta,
     ) -> Result<SessionCore, CheckError> {
-        debug_assert!(matches!(opts.engine, Engine::Automaton));
+        debug_assert!(matches!(opts.engine, Engine::Trie));
         let auto = encoded.automaton.clone();
         let known = auto.len() as u64;
         for &id in &ids {
@@ -984,208 +908,58 @@ impl SessionCore {
             }
             auto.successors_traced(id, &encoded.observability, opts.weaknext, &Recorder::noop())?;
         }
-        Ok(SessionCore {
-            opts,
-            confs: ConfSet::Automaton { auto, ids },
-            steps: Vec::new(),
-            peak: meta.peak,
-            explored: meta.explored,
-            consumed: meta.consumed,
-            first_time: meta.first_time,
-            infringement: None,
-            deadline: opts
-                .case_deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder: Recorder::noop(),
-            case_name: meta.case_name,
-            evidence_steps: Vec::new(),
-            evidence_violation: None,
-            trie_bound: true,
-        })
-    }
-
-    /// [`SessionCore::from_interned`] for the trie engine: the ids are
-    /// validated and re-expanded against the trie's automaton, then
-    /// interned as a frontier row so the rehydrated session resumes
-    /// memoized stepping exactly where the evicted one left off.
-    pub fn from_interned_with_trie(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        trie: Arc<ReplayTrie>,
-        hierarchy: &RoleHierarchy,
-        ids: Vec<StateId>,
-        meta: SessionMeta,
-    ) -> Result<SessionCore, CheckError> {
-        debug_assert!(matches!(opts.engine, Engine::Trie));
-        trie.bind(hierarchy)?;
-        let auto = trie.automaton().clone();
-        let known = auto.len() as u64;
-        for &id in &ids {
-            if u64::from(id) >= known {
-                return Err(CheckError::Checkpoint {
-                    detail: format!("churn checkpoint id {id} outside automaton ({known} states)"),
-                });
-            }
-            auto.successors_traced(id, &encoded.observability, opts.weaknext, &Recorder::noop())?;
-        }
-        let (frontier, row) = trie.intern_frontier(&ids);
-        Ok(SessionCore {
-            opts,
-            confs: ConfSet::Trie {
-                trie,
-                frontier,
-                ids: row,
-            },
-            steps: Vec::new(),
-            peak: meta.peak,
-            explored: meta.explored,
-            consumed: meta.consumed,
-            first_time: meta.first_time,
-            infringement: None,
-            deadline: opts
-                .case_deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder: Recorder::noop(),
-            case_name: meta.case_name,
-            evidence_steps: Vec::new(),
-            evidence_violation: None,
-            trie_bound: true,
-        })
+        let confs = ConfSet::compiled(auto, ids);
+        Ok(SessionCore::assemble(opts, confs, meta, Recorder::noop()))
     }
 
     /// Rebuild a session from an exported state — the rehydrate half of
     /// checkpoint/evict/rehydrate.
     ///
-    /// Configurations are re-admitted in export order. Under the automaton
+    /// Configurations are re-admitted in export order. Under the compiled
     /// engine each state is interned (a no-op when the shared automaton
-    /// already knows it) and its successor table compiled, restoring the
-    /// [`PRE_EXPANDED`] invariant; under the direct engine `weak_next` is
-    /// recomputed. Neither counts toward `explored` — the exported counter
-    /// already includes everything the original session explored, so a
-    /// rehydrated session and its unevicted twin keep identical counters.
-    /// The wall-clock `case_deadline_ms` budget is re-armed at rehydration
-    /// (wall time spent evicted is not replay work).
+    /// already knows it) and rebuilt through [`SessionCore::from_interned`];
+    /// under the direct engine `weak_next` is recomputed. Neither counts
+    /// toward `explored` — the exported counter already includes everything
+    /// the original session explored, so a rehydrated session and its
+    /// unevicted twin keep identical counters. The wall-clock
+    /// `case_deadline_ms` budget is re-armed at rehydration (wall time
+    /// spent evicted is not replay work).
     pub fn from_state(
         encoded: &Encoded,
         opts: CheckOptions,
         state: SessionState,
     ) -> Result<SessionCore, CheckError> {
-        SessionCore::from_state_with_recorder(encoded, opts, state, Recorder::noop())
-    }
-
-    /// [`SessionCore::from_state`] with an event recorder.
-    pub fn from_state_with_recorder(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        state: SessionState,
-        recorder: Recorder,
-    ) -> Result<SessionCore, CheckError> {
-        let (confs, trie_bound) = match opts.engine {
+        let meta = SessionMeta {
+            peak: state.peak,
+            explored: state.explored,
+            consumed: state.consumed,
+            first_time: state.first_time,
+            case_name: state.case_name,
+        };
+        match opts.engine {
             Engine::Direct => {
                 let mut confs = Vec::with_capacity(state.confs.len());
                 for m in state.confs {
-                    let next =
-                        weak_next_traced(&m, &encoded.observability, opts.weaknext, &recorder)?;
+                    let next = weak_next_traced(
+                        &m,
+                        &encoded.observability,
+                        opts.weaknext,
+                        &Recorder::noop(),
+                    )?;
                     confs.push(Configuration { state: m, next });
                 }
-                (ConfSet::Direct(confs), true)
-            }
-            Engine::Automaton => {
-                let auto = encoded.automaton.clone();
-                let mut ids = Vec::with_capacity(state.confs.len());
-                for m in state.confs {
-                    let id = auto.intern(m);
-                    auto.successors_traced(id, &encoded.observability, opts.weaknext, &recorder)?;
-                    ids.push(id);
-                }
-                (ConfSet::Automaton { auto, ids }, true)
+                let confs = ConfSet::Direct(confs);
+                Ok(SessionCore::assemble(opts, confs, meta, Recorder::noop()))
             }
             Engine::Trie => {
-                // Hierarchy-free fallback (see `with_recorder`); use
-                // [`SessionCore::from_state_with_trie`] for sharing.
-                let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
-                let confs =
-                    Self::trie_confs_from_state(encoded, opts, &trie, state.confs, &recorder)?;
-                (confs, false)
+                let ids = state
+                    .confs
+                    .into_iter()
+                    .map(|m| encoded.automaton.intern(m))
+                    .collect();
+                SessionCore::from_interned(encoded, opts, ids, meta)
             }
-        };
-        Ok(SessionCore {
-            opts,
-            confs,
-            steps: Vec::new(),
-            peak: state.peak,
-            explored: state.explored,
-            consumed: state.consumed,
-            first_time: state.first_time,
-            infringement: None,
-            deadline: opts
-                .case_deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder,
-            case_name: state.case_name,
-            evidence_steps: Vec::new(),
-            evidence_violation: None,
-            trie_bound,
-        })
-    }
-
-    /// [`SessionCore::from_state`] for the trie engine with a *shared*
-    /// trie: states are re-interned and expanded against the trie's
-    /// automaton and the live set becomes an interned frontier row.
-    pub fn from_state_with_trie(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        trie: Arc<ReplayTrie>,
-        hierarchy: &RoleHierarchy,
-        state: SessionState,
-        recorder: Recorder,
-    ) -> Result<SessionCore, CheckError> {
-        debug_assert!(matches!(opts.engine, Engine::Trie));
-        trie.bind(hierarchy)?;
-        let confs = Self::trie_confs_from_state(encoded, opts, &trie, state.confs, &recorder)?;
-        Ok(SessionCore {
-            opts,
-            confs,
-            steps: Vec::new(),
-            peak: state.peak,
-            explored: state.explored,
-            consumed: state.consumed,
-            first_time: state.first_time,
-            infringement: None,
-            deadline: opts
-                .case_deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder,
-            case_name: state.case_name,
-            evidence_steps: Vec::new(),
-            evidence_violation: None,
-            trie_bound: true,
-        })
-    }
-
-    /// Intern exported `Marked` states into the trie's automaton, restore
-    /// the [`PRE_EXPANDED`] invariant, and intern the resulting live set as
-    /// a frontier row.
-    fn trie_confs_from_state(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        trie: &Arc<ReplayTrie>,
-        states: Vec<Marked>,
-        recorder: &Recorder,
-    ) -> Result<ConfSet, CheckError> {
-        let auto = trie.automaton().clone();
-        let mut ids = Vec::with_capacity(states.len());
-        for m in states {
-            let id = auto.intern(m);
-            auto.successors_traced(id, &encoded.observability, opts.weaknext, recorder)?;
-            ids.push(id);
         }
-        let (frontier, row) = trie.intern_frontier(&ids);
-        Ok(ConfSet::Trie {
-            trie: trie.clone(),
-            frontier,
-            ids: row,
-        })
     }
 
     /// Test hook: tighten the τ-budget of an open session after the fact,
@@ -1216,16 +990,7 @@ impl SessionCore {
                             }
                         }
                     }
-                    ConfSet::Automaton { auto, ids } => {
-                        for &id in ids {
-                            if auto.can_quiesce(id, &encoded.observability, self.opts.weaknext)? {
-                                can_complete = true;
-                                break;
-                            }
-                        }
-                    }
-                    ConfSet::Trie { trie, ids, .. } => {
-                        let auto = trie.automaton();
+                    ConfSet::Compiled { auto, ids, .. } => {
                         for &id in ids.iter() {
                             if auto.can_quiesce(id, &encoded.observability, self.opts.weaknext)? {
                                 can_complete = true;
@@ -1245,7 +1010,6 @@ impl SessionCore {
                 purpose: String::new(),
                 engine: match self.opts.engine {
                     Engine::Direct => "direct",
-                    Engine::Automaton => "automaton",
                     Engine::Trie => "trie",
                 },
                 verdict: match &verdict {
@@ -1259,8 +1023,7 @@ impl SessionCore {
                 violation: self.evidence_violation.clone(),
                 auto: match &self.confs {
                     ConfSet::Direct(_) => None,
-                    ConfSet::Automaton { auto, .. } => Some(auto.clone()),
-                    ConfSet::Trie { trie, .. } => Some(trie.automaton().clone()),
+                    ConfSet::Compiled { auto, .. } => Some(auto.clone()),
                 },
             })
         } else {
@@ -1303,15 +1066,11 @@ impl<'a> ReplaySession<'a> {
         hierarchy: &'a RoleHierarchy,
         opts: CheckOptions,
     ) -> Result<ReplaySession<'a>, CheckError> {
-        Ok(ReplaySession {
-            encoded,
-            hierarchy,
-            core: SessionCore::new(encoded, opts)?,
-        })
+        ReplaySession::with_recorder(encoded, hierarchy, opts, Recorder::noop())
     }
 
     /// [`ReplaySession::new`] with an event recorder (see
-    /// [`SessionCore::with_recorder`]).
+    /// [`SessionCore::new`]).
     pub fn with_recorder(
         encoded: &'a Encoded,
         hierarchy: &'a RoleHierarchy,
@@ -1321,7 +1080,7 @@ impl<'a> ReplaySession<'a> {
         Ok(ReplaySession {
             encoded,
             hierarchy,
-            core: SessionCore::with_recorder(encoded, opts, recorder)?,
+            core: SessionCore::new(encoded, opts, recorder, None)?,
         })
     }
 
@@ -1523,14 +1282,24 @@ mod tests {
 
     #[test]
     fn exported_state_rehydrates_to_an_identical_twin() {
-        for engine in [Engine::Direct, Engine::Automaton, Engine::Trie] {
+        // The direct oracle, the uncached compiled path and the shared-trie
+        // path each checkpoint mid-case; every rebuilt session must match
+        // its unevicted twin, and every twin must match the oracle.
+        let mut oracle = None;
+        for (engine, shared) in [
+            (Engine::Direct, false),
+            (Engine::Trie, false),
+            (Engine::Trie, true),
+        ] {
             let encoded = encode(&fig8_exclusive());
             let h = RoleHierarchy::new();
+            let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
             let opts = CheckOptions {
                 engine,
                 ..CheckOptions::default()
             };
-            let mut twin = SessionCore::new(&encoded, opts).unwrap();
+            let shared = shared.then_some((&trie, &h));
+            let mut twin = SessionCore::new(&encoded, opts, Recorder::noop(), shared).unwrap();
             twin.feed(&encoded, &h, &entry("T", 1)).unwrap();
 
             // Checkpoint mid-case, rebuild, and compare against the twin
@@ -1543,14 +1312,15 @@ mod tests {
             let b = back.feed(&encoded, &h, &e).unwrap();
             assert_eq!(a, b, "{engine:?}: outcomes diverged");
             assert_eq!(back.export_state(), twin.export_state());
-            assert_eq!(
-                back.finish(&encoded).unwrap().verdict,
-                twin.finish(&encoded).unwrap().verdict
+            let (back, twin) = (
+                back.finish(&encoded).unwrap(),
+                twin.finish(&encoded).unwrap(),
             );
-            assert_eq!(
-                back.finish(&encoded).unwrap().explored_successors,
-                twin.finish(&encoded).unwrap().explored_successors
-            );
+            assert_eq!(back.verdict, twin.verdict);
+            assert_eq!(back.explored_successors, twin.explored_successors);
+            let got = (a, twin.verdict, twin.explored_successors, state);
+            let want = oracle.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, want, "{engine:?} diverged from the direct oracle");
         }
     }
 

@@ -9,20 +9,26 @@
 //! triple `(role, task, failed)` — everything the transition depends on.
 //! Duplicate prefixes across cases then cost one automaton walk plus a
 //! read-locked map probe per entry, skipping the per-edge role-hierarchy
-//! DFS and the per-step dedup/alloc of the automaton arm.
+//! DFS and the per-step dedup/alloc of an uncached step.
 //!
-//! The trie is a *pure cache* over the automaton engine: a memoized step
-//! stores exactly what the [`Engine::Automaton`](crate::replay::Engine)
-//! arm would have produced (match vector, successor frontier in insertion
-//! order, explored-successor delta), so verdicts, traces, counters and
-//! evidence are byte-identical — property-tested in `tests/trie.rs`.
+//! The trie is a *pure cache* over the one compiled Algorithm-1 step,
+//! `session::compiled_step`: a miss calls it and stores exactly what it produced
+//! (match vector, successor frontier in insertion order, explored-successor
+//! delta), so verdicts, traces, counters and evidence are byte-identical
+//! to an uncached walk and to the direct oracle — tested in `tests/trie.rs`.
+//!
+//! **Who uses it.** Batch audits
+//! ([`Auditor::check_one_case`](crate::auditor::Auditor::check_one_case)
+//! and [`check_case_with`](crate::replay::check_case_with) given a trie)
+//! step through it and also memoize whole cases. Live sessions walk the
+//! automaton uncached: on served churn the shared trie measured slower
+//! than the uncached step (DESIGN §3.14).
 //!
 //! **Sharing.** One trie lives on each
 //! [`RegisteredProcess`](crate::auditor::RegisteredProcess), so
-//! `audit_parallel` workers, live-monitor shards and served tenants of the
-//! same process share a read-mostly root: after warm-up every worker hits
-//! the same compiled transitions behind sharded read locks, and only a
-//! novel transition takes a write lock.
+//! `audit_parallel` workers of the same process share a read-mostly root:
+//! after warm-up every worker hits the same compiled transitions behind
+//! sharded read locks, and only a novel transition takes a write lock.
 //!
 //! **Safety.** Transitions bake in role-hierarchy decisions, so the trie
 //! binds to [`RoleHierarchy::fingerprint`] on first use and refuses (typed
@@ -33,12 +39,13 @@
 //! few).
 
 use crate::error::CheckError;
+use crate::replay::replay_entries;
 use crate::replay::{CaseCheck, CheckOptions, Infringement, InfringementKind, MatchKind, Verdict};
+use crate::session::compiled_step;
 use audit::entry::{LogEntry, TaskStatus};
 use bpmn::encode::Encoded;
-use cows::automaton::frontier::{DenseBitSet, FrontierId, FrontierTable, FxBuildHasher};
+use cows::automaton::frontier::{FrontierId, FrontierTable, FxBuildHasher};
 use cows::automaton::{ProcessAutomaton, StateId};
-use cows::observe::Observation;
 use cows::weaknext::WeakNextLimits;
 use cows::Symbol;
 use obs::Recorder;
@@ -47,10 +54,6 @@ use policy::hierarchy::RoleHierarchy;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Same invariant as the session's automaton arm: ids in interned frontier
-/// rows were expanded when inserted, so their edges are always compiled.
-const PRE_EXPANDED: &str = "trie frontier ids are expanded on insertion";
 
 /// Transition-cache shards (keys are hashed ids; contention is write-only
 /// and writes stop once the workload's transitions are warm).
@@ -75,8 +78,8 @@ struct TransitionKey {
     failed: bool,
 }
 
-/// One memoized `configuration-set × observation` step — exactly the
-/// automaton arm's output for that step, engine-equivalence-grade.
+/// One memoized `configuration-set × observation` step — exactly what
+/// `session::compiled_step` produced for it, with the survivors interned.
 #[derive(Debug)]
 pub struct CachedStep {
     /// Match vector in configuration/edge order (the evidence labels).
@@ -211,8 +214,8 @@ impl TrieStats {
 }
 
 /// The shared prefix-sharing replay cache of one process. See the module
-/// docs for the contract; sessions drive it through
-/// [`SessionCore::with_trie`](crate::session::SessionCore::with_trie).
+/// docs for the contract; sessions drive it when opened through
+/// [`SessionCore::new`](crate::session::SessionCore::new) with a trie.
 pub struct ReplayTrie {
     auto: Arc<ProcessAutomaton>,
     frontiers: FrontierTable,
@@ -293,26 +296,8 @@ impl ReplayTrie {
         Ok(())
     }
 
-    /// Open a session's initial frontier: the interned row holding the
-    /// process's (expanded) initial state, plus the initial explored
-    /// count — exactly `SessionCore::with_recorder`'s automaton arm.
-    pub fn root(
-        &self,
-        encoded: &Encoded,
-        limits: WeakNextLimits,
-        recorder: &Recorder,
-    ) -> Result<(FrontierId, Arc<[StateId]>, usize), CheckError> {
-        debug_assert!(Arc::ptr_eq(&self.auto, &encoded.automaton));
-        let id = self.auto.initial_id(&encoded.service);
-        let edges = self
-            .auto
-            .successors_traced(id, &encoded.observability, limits, recorder)?;
-        let fid = self.frontiers.intern(&[id]);
-        Ok((fid, self.frontiers.row(fid), edges.len()))
-    }
-
-    /// Intern an explicit frontier row (rehydration paths). Every id must
-    /// already satisfy the expanded-on-insertion invariant.
+    /// Intern an explicit frontier row (a session's initial set). Every id
+    /// must already be expanded.
     pub fn intern_frontier(&self, ids: &[StateId]) -> (FrontierId, Arc<[StateId]>) {
         let fid = self.frontiers.intern(ids);
         (fid, self.frontiers.row(fid))
@@ -320,9 +305,9 @@ impl ReplayTrie {
 
     /// One Algorithm-1 step: consume `entry` from the configuration set
     /// `frontier`. Served from the cache when this set has consumed this
-    /// observation before (on any case); computed via the shared automaton
-    /// and memoized otherwise. τ-budget errors propagate uncached, like
-    /// the automaton's own edge cache.
+    /// observation before (on any case); computed by `session::compiled_step` and
+    /// memoized otherwise. τ-budget errors propagate uncached, like the
+    /// automaton's own edge cache.
     pub fn step(
         &self,
         encoded: &Encoded,
@@ -344,7 +329,17 @@ impl ReplayTrie {
             return Ok(hit.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let step = Arc::new(self.compute(encoded, hierarchy, frontier, entry, limits, recorder)?);
+        let ids = self.frontiers.row(frontier);
+        let computed = compiled_step(
+            &self.auto, encoded, hierarchy, &ids, entry, limits, recorder,
+        )?;
+        let next = self.frontiers.intern(&computed.next);
+        let step = Arc::new(CachedStep {
+            matches: computed.matches,
+            next,
+            next_row: self.frontiers.row(next),
+            explored_delta: computed.explored,
+        });
         if self.transitions.load(Ordering::Relaxed) >= self.max_transitions {
             self.flush();
         }
@@ -353,77 +348,6 @@ impl ReplayTrie {
             self.transitions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(step)
-    }
-
-    /// The automaton arm of `SessionCore::feed`, verbatim: absorbed check,
-    /// compiled-edge acceptance, insertion-order dedup (bitset instead of
-    /// `HashSet`), eager successor expansion.
-    fn compute(
-        &self,
-        encoded: &Encoded,
-        hierarchy: &RoleHierarchy,
-        frontier: FrontierId,
-        entry: &LogEntry,
-        limits: WeakNextLimits,
-        recorder: &Recorder,
-    ) -> Result<CachedStep, CheckError> {
-        let ids = self.frontiers.row(frontier);
-        let mut matches: Vec<MatchKind> = Vec::new();
-        let mut next_ids: Vec<StateId> = Vec::new();
-        let mut seen = DenseBitSet::with_capacity(self.auto.len());
-        let mut explored_delta = 0usize;
-        for &id in ids.iter() {
-            let state = self.auto.state(id);
-            let task_running = state
-                .running
-                .iter()
-                .any(|&(r, q)| q == entry.task && hierarchy.is_specialization_of(entry.role, r));
-
-            // Line 8: absorbed only if active and successful.
-            if task_running && entry.status == TaskStatus::Success {
-                if seen.insert(id) {
-                    next_ids.push(id);
-                }
-                matches.push(MatchKind::Absorbed);
-                continue;
-            }
-
-            // Lines 9–13: consume a compiled observable edge.
-            let edges = self.auto.cached_edges(id).expect(PRE_EXPANDED);
-            for &(observation, succ_id) in edges.iter() {
-                let accept = match (observation, entry.status) {
-                    (Observation::Task { role, task }, TaskStatus::Success) => {
-                        task == entry.task && hierarchy.is_specialization_of(entry.role, role)
-                    }
-                    (Observation::Error, TaskStatus::Failure) => true,
-                    _ => false,
-                };
-                if !accept {
-                    continue;
-                }
-                matches.push(match observation {
-                    Observation::Error => MatchKind::Failed,
-                    Observation::Task { .. } => MatchKind::Started,
-                });
-                if seen.insert(succ_id) {
-                    let succ_edges = self.auto.successors_traced(
-                        succ_id,
-                        &encoded.observability,
-                        limits,
-                        recorder,
-                    )?;
-                    explored_delta += succ_edges.len();
-                    next_ids.push(succ_id);
-                }
-            }
-        }
-        let next = self.frontiers.intern(&next_ids);
-        Ok(CachedStep {
-            matches,
-            next,
-            next_row: self.frontiers.row(next),
-            explored_delta,
-        })
     }
 
     /// Drop every memoized transition (the cap eviction policy). Frontier
@@ -519,19 +443,7 @@ pub(crate) fn replay_case_memoized(
             .fetch_add(hit.consumed(entries.len()) as u64, Ordering::Relaxed);
         return Ok(hit.materialize(entries));
     }
-    let mut core = crate::session::SessionCore::with_trie(
-        encoded,
-        *opts,
-        trie.clone(),
-        hierarchy,
-        recorder.clone(),
-    )?;
-    for e in entries {
-        if let crate::session::FeedOutcome::Rejected(_) = core.feed(encoded, hierarchy, e)? {
-            break;
-        }
-    }
-    let check = core.finish(encoded)?;
+    let check = replay_entries(encoded, hierarchy, entries, opts, recorder, Some(trie))?;
     if let Some(cached) = CachedCase::from_check(&check) {
         trie.insert_case(key, cached);
     }

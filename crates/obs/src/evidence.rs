@@ -62,7 +62,7 @@ pub struct EvidenceViolation {
 pub struct CaseEvidence {
     pub case: String,
     pub purpose: String,
-    /// Engine label: `direct`, `automaton` or `trie`. Recorded for
+    /// Engine label: `direct` or `trie`. Recorded for
     /// provenance; the steps themselves must not differ between engines.
     pub engine: String,
     /// Verdict label: `compliant`, `compliant-incomplete`, `infringement`.
@@ -206,7 +206,7 @@ mod tests {
         CaseEvidence {
             case: "41".into(),
             purpose: "treatment".into(),
-            engine: "automaton".into(),
+            engine: "trie".into(),
             verdict: "infringement".into(),
             steps: vec![EvidenceStep {
                 index: 0,

@@ -299,6 +299,10 @@ pub fn read_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Reques
 
 /// Write one response. `extra_headers` ride along verbatim (e.g.
 /// `Retry-After`); `Content-Length` and `Connection` are always set.
+///
+/// Head and body leave in a single write: two small writes on a kept-alive
+/// socket without `TCP_NODELAY` stall ~40 ms (Nagle's algorithm holds the
+/// body until the peer's delayed ACK of the head).
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -319,15 +323,48 @@ pub fn write_response(
     } else {
         "Connection: keep-alive\r\n\r\n"
     });
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::BufReader;
+
+    /// A sink that counts `write` calls (the Nagle regression guard).
+    #[derive(Default)]
+    pub(crate) struct CountingWriter {
+        pub bytes: Vec<u8>,
+        pub writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_head_and_body_leave_in_one_write() {
+        let mut out = CountingWriter::default();
+        write_response(&mut out, 200, "OK", "text/plain", &[], b"hello", false).unwrap();
+        assert_eq!(out.writes, 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        assert!(
+            text.ends_with("Connection: keep-alive\r\n\r\nhello"),
+            "{text}"
+        );
+    }
 
     fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
         read_request(&mut BufReader::new(bytes), &Limits::default())

@@ -783,14 +783,25 @@ pub mod client {
     /// Send one request and read the full response (Content-Length framed).
     pub fn request(addr: &str, method: &str, path: &str, body: &str) -> std::io::Result<Response> {
         let mut stream = TcpStream::connect(addr)?;
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        write_request(&mut stream, addr, method, path, body)?;
+        read_response(&mut BufReader::new(stream))
+    }
+
+    /// Write one request with head and body in a single write (see
+    /// [`crate::http::write_response`] for the Nagle stall this avoids).
+    pub(crate) fn write_request(
+        stream: &mut impl Write,
+        addr: &str,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> std::io::Result<()> {
+        let message = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
-        stream.flush()?;
-        read_response(&mut BufReader::new(stream))
+        stream.write_all(message.as_bytes())?;
+        stream.flush()
     }
 
     /// Send raw bytes verbatim (malformed-request conformance tests) and
@@ -848,6 +859,22 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpStream;
+
+    #[test]
+    fn request_head_and_body_leave_in_one_write() {
+        let mut out = crate::http::tests::CountingWriter::default();
+        client::write_request(&mut out, "127.0.0.1:1", "POST", "/v1/t/entries", "line\n").unwrap();
+        assert_eq!(out.writes, 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(
+            text.starts_with("POST /v1/t/entries HTTP/1.1\r\n"),
+            "{text}"
+        );
+        assert!(
+            text.ends_with("Content-Length: 5\r\nConnection: close\r\n\r\nline\n"),
+            "{text}"
+        );
+    }
 
     /// The slow-loris guard: a client that sends half a request line and
     /// then stalls must get a 408 when the io deadline expires — not pin

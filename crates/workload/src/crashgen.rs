@@ -1,4 +1,4 @@
-//! Seeded crash schedules for the kill-9 harness (`tests/crash.rs`).
+//! Seeded crash schedules for the kill-9 harness (`crates/cli/tests/crash.rs`).
 //!
 //! A [`CrashSchedule`] deterministically derives, from one seed, where in a
 //! streaming run the harness yanks the process: after which submitted batch,

@@ -13,7 +13,7 @@
 //! Under [`purpose-control`'s trie engine] the stamped cases replay almost
 //! entirely from the transition cache (the memoization key is the
 //! configuration frontier plus the entry's role/task/status — exactly what
-//! is shared here); the automaton engine re-walks every edge per case.
+//! is shared here); an uncached walk re-walks every edge per case.
 //! The P17 bench measures that gap; the equivalence tests pin that the
 //! verdicts do not move.
 

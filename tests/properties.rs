@@ -16,9 +16,11 @@ use cows::term::{choice, ep, invoke, par, protect, repl, request, Request, Servi
 use policy::hierarchy::RoleHierarchy;
 use proptest::prelude::*;
 use purpose_control::naive::{naive_check, NaiveLimits};
-use purpose_control::replay::{check_case, CheckOptions, Engine};
+use purpose_control::replay::{check_case, check_case_with, CheckOptions, Engine};
+use purpose_control::ReplayTrie;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use workload::procgen::{generate, ProcGenConfig};
 use workload::simulate::{simulate_case, SimConfig};
 
@@ -194,12 +196,14 @@ proptest! {
         prop_assert!(!slow.accepted);
     }
 
-    /// The automaton engine is a pure compilation of the direct engine: on
-    /// generated processes, simulated trails and attacked variants the two
-    /// produce identical verdicts (including infringement indices, expected
+    /// The production engine is a pure compilation of the direct oracle: on
+    /// generated processes, simulated trails and attacked variants the
+    /// uncached compiled step and the shared replay trie both produce the
+    /// direct engine's verdicts (including infringement indices, expected
     /// sets and active tasks — all inside `Verdict`'s equality) and
-    /// identical exploration counters. A second replay on the same warmed
-    /// automaton must not change the answer either.
+    /// exploration counters. A second replay on the same warmed automaton
+    /// (and, through the trie, from its whole-case memo) must not change
+    /// the answer either.
     #[test]
     fn engines_are_verdict_equivalent(seed in 0u64..150, shape in 0usize..3, attack in 0usize..5) {
         let cfg = match shape {
@@ -241,14 +245,15 @@ proptest! {
             engine: Engine::Direct,
             ..CheckOptions::default()
         }).unwrap();
-        let auto_opts = CheckOptions {
-            engine: Engine::Automaton,
-            ..CheckOptions::default()
-        };
-        let cold = check_case(&encoded, &h, &refs, &auto_opts).unwrap();
-        let warm = check_case(&encoded, &h, &refs, &auto_opts).unwrap();
+        let opts = CheckOptions::default();
+        let cold = check_case(&encoded, &h, &refs, &opts).unwrap();
+        let warm = check_case(&encoded, &h, &refs, &opts).unwrap();
+        let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
+        let noop = obs::Recorder::noop();
+        let trie_cold = check_case_with(&encoded, &h, &refs, &opts, &noop, Some(&trie)).unwrap();
+        let trie_memo = check_case_with(&encoded, &h, &refs, &opts, &noop, Some(&trie)).unwrap();
 
-        for auto in [&cold, &warm] {
+        for auto in [&cold, &warm, &trie_cold, &trie_memo] {
             prop_assert_eq!(&direct.verdict, &auto.verdict);
             prop_assert_eq!(direct.peak_configurations, auto.peak_configurations);
             prop_assert_eq!(direct.explored_successors, auto.explored_successors);
@@ -305,7 +310,7 @@ proptest! {
 
         let direct = check_case(&encode(&model), &h, &refs, &opts(Engine::Direct)).unwrap();
         let cold_enc = encode(&model);
-        let cold = check_case(&cold_enc, &h, &refs, &opts(Engine::Automaton)).unwrap();
+        let cold = check_case(&cold_enc, &h, &refs, &opts(Engine::Trie)).unwrap();
 
         // Persist the cold compilation, load it into a fresh encoding.
         let warm_enc = encode(&model);
@@ -313,7 +318,7 @@ proptest! {
             .load_snapshot_bytes(&cold_enc.snapshot_bytes())
             .expect("snapshot of a fresh compilation loads");
         prop_assert_eq!(report.snapshot_states, cold_enc.automaton.len());
-        let warm = check_case(&warm_enc, &h, &refs, &opts(Engine::Automaton)).unwrap();
+        let warm = check_case(&warm_enc, &h, &refs, &opts(Engine::Trie)).unwrap();
 
         for replayed in [&cold, &warm] {
             prop_assert_eq!(&direct.verdict, &replayed.verdict);

@@ -6,11 +6,13 @@ use audit::samples::figure4_trail;
 use bpmn::encode::encode;
 use bpmn::models::healthcare_treatment;
 use obs::json::{parse_json, validate};
+use obs::Recorder;
 use obs::Registry;
 use policy::samples::hospital_roles;
 use policy::{Policy, PolicyContext};
 use purpose_control::auditor::{Auditor, ProcessRegistry};
-use purpose_control::replay::{check_case, CheckOptions, Engine};
+use purpose_control::replay::{check_case_with, CheckOptions, Engine};
+use purpose_control::ReplayTrie;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -58,8 +60,12 @@ fn registry_is_exact_under_eight_threads() {
     assert!(g >= 0.0 && g < THREADS as f64);
 }
 
-fn evidence_lines(engine: Engine) -> Vec<String> {
+/// The Fig. 4 evidence lines under `engine`, replayed through one shared
+/// replay trie across cases when `shared`, else uncached.
+fn evidence_lines(engine: Engine, shared: bool) -> Vec<String> {
     let encoded = encode(&healthcare_treatment());
+    let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
+    let trie = shared.then_some(&trie);
     let hierarchy = hospital_roles();
     let trail = figure4_trail();
     let opts = CheckOptions {
@@ -70,7 +76,15 @@ fn evidence_lines(engine: Engine) -> Vec<String> {
     let mut lines = Vec::new();
     for case in trail.cases() {
         let entries = trail.project_case(case);
-        let check = check_case(&encoded, &hierarchy, &entries, &opts).expect("replay succeeds");
+        let check = check_case_with(
+            &encoded,
+            &hierarchy,
+            &entries,
+            &opts,
+            &Recorder::noop(),
+            trie,
+        )
+        .expect("replay succeeds");
         let evidence = check
             .evidence_trace(&encoded, &entries)
             .expect("record_evidence fills evidence");
@@ -80,34 +94,36 @@ fn evidence_lines(engine: Engine) -> Vec<String> {
 }
 
 /// The Fig. 4 evidence traces are byte-identical across runs and across
-/// `--engine automaton|direct` (modulo the provenance `engine` field):
-/// the trace records what Algorithm 1 did, and both engines are proven to
-/// do the same thing.
+/// the direct oracle and the production engine (modulo the provenance
+/// `engine` field): the trace records what Algorithm 1 did, and both
+/// engines are proven to do the same thing.
 #[test]
 fn figure4_evidence_is_deterministic_and_engine_identical() {
-    let direct = evidence_lines(Engine::Direct);
-    let direct_again = evidence_lines(Engine::Direct);
+    let direct = evidence_lines(Engine::Direct, false);
+    let direct_again = evidence_lines(Engine::Direct, false);
     assert_eq!(direct, direct_again, "direct traces drift across runs");
 
-    let automaton = evidence_lines(Engine::Automaton);
-    let automaton_again = evidence_lines(Engine::Automaton);
+    let uncached = evidence_lines(Engine::Trie, false);
+    let uncached_again = evidence_lines(Engine::Trie, false);
     assert_eq!(
-        automaton, automaton_again,
-        "automaton traces drift across runs"
+        uncached, uncached_again,
+        "uncached traces drift across runs"
     );
+    let shared = evidence_lines(Engine::Trie, true);
+    assert_eq!(shared, uncached, "shared-trie traces differ from uncached");
 
     let strip_engine = |lines: &[String]| -> Vec<String> {
         lines
             .iter()
             .map(|l| {
                 l.replace("\"engine\":\"direct\"", "\"engine\":\"_\"")
-                    .replace("\"engine\":\"automaton\"", "\"engine\":\"_\"")
+                    .replace("\"engine\":\"trie\"", "\"engine\":\"_\"")
             })
             .collect()
     };
     assert_eq!(
         strip_engine(&direct),
-        strip_engine(&automaton),
+        strip_engine(&uncached),
         "evidence differs between engines"
     );
 
@@ -170,7 +186,7 @@ fn metrics_export_matches_committed_schema() {
 #[test]
 fn trace_lines_match_committed_schema() {
     let trace_schema = schema("trace.schema.json");
-    for line in evidence_lines(Engine::Automaton) {
+    for line in evidence_lines(Engine::Trie, true) {
         let doc = parse_json(&line).expect("trace line parses");
         let errors = validate(&doc, &trace_schema);
         assert!(errors.is_empty(), "schema violations in {line}: {errors:?}");

@@ -1,8 +1,10 @@
-//! Trie-engine equivalence: the prefix-sharing replay trie is a pure
-//! memoization of the automaton engine, so every observable output —
-//! verdicts, evidence traces, Algorithm-1 counters — must be byte-identical
-//! between the two, on every workload and at every thread count. These
-//! tests pin that, plus the trie's own counters and its flush path.
+//! Trie-engine equivalence against the direct oracle: the production engine
+//! runs one compiled Algorithm-1 step, either uncached or memoized by the
+//! prefix-sharing replay trie, and every observable output — verdicts,
+//! evidence traces, Algorithm-1 counters — must be byte-identical to the
+//! paper-faithful direct engine on both paths, on every workload and at
+//! every thread count. These tests pin that, plus the trie's own counters
+//! and its flush path.
 
 use audit::entry::LogEntry;
 use audit::samples::figure4_trail;
@@ -51,7 +53,7 @@ fn dupheavy_trail(seed: u64) -> AuditTrail {
     .trail
 }
 
-/// The full per-case fingerprint two engines must agree on.
+/// The full per-case fingerprint every replay path must agree on.
 fn report_fingerprint(report: &AuditReport) -> BTreeMap<Symbol, (String, usize, usize)> {
     report
         .cases
@@ -69,31 +71,68 @@ fn report_fingerprint(report: &AuditReport) -> BTreeMap<Symbol, (String, usize, 
         .collect()
 }
 
-/// Satellite: the duplicate-heavy property — 90%+ shared prefixes, trie vs
-/// automaton byte-identical verdicts and counters at 1, 2 and 8 threads.
+/// The uncached production path over every case of `trail`: each case
+/// replayed by `check_case` with no shared trie, fingerprinted like
+/// [`report_fingerprint`].
+fn uncached_fingerprint(
+    auditor: &Auditor,
+    trail: &AuditTrail,
+) -> BTreeMap<Symbol, (String, usize, usize)> {
+    trail
+        .cases()
+        .into_iter()
+        .map(|case| {
+            let entries = trail.project_case(case);
+            let process = auditor
+                .resolve_case(case)
+                .and_then(|purpose| auditor.registry.process_for(purpose));
+            let Some(process) = process else {
+                return (case, ("unresolved".to_string(), 0, entries.len()));
+            };
+            let roles = auditor.context.roles();
+            let check = check_case(&process.encoded, roles, &entries, &auditor.options).unwrap();
+            let label = if check.verdict.is_compliant() {
+                "compliant"
+            } else {
+                "infringement"
+            };
+            let fingerprint = (label.to_string(), check.peak_configurations, entries.len());
+            (case, fingerprint)
+        })
+        .collect()
+}
+
+/// Satellite: the duplicate-heavy property — 90%+ shared prefixes; the
+/// shared trie at 1, 2 and 8 threads and the uncached path match the
+/// direct oracle's verdicts and counters byte for byte.
 #[test]
-fn dupheavy_trie_matches_automaton_at_all_thread_counts() {
+fn dupheavy_trie_matches_direct_at_all_thread_counts() {
     for seed in [7u64, 42] {
         let trail = dupheavy_trail(seed);
-        let automaton = hospital_auditor(Engine::Automaton);
+        let direct = hospital_auditor(Engine::Direct);
         let trie = hospital_auditor(Engine::Trie);
-        let baseline = report_fingerprint(&audit_parallel(&automaton, &trail, 1));
+        let oracle = report_fingerprint(&audit_parallel(&direct, &trail, 1));
         assert!(
-            baseline.values().any(|(o, _, _)| o == "infringement"),
+            oracle.values().any(|(o, _, _)| o == "infringement"),
             "workload must include deviant cases"
+        );
+        assert_eq!(
+            oracle,
+            uncached_fingerprint(&trie, &trail),
+            "uncached path diverged from direct (seed {seed})"
         );
         for threads in [1usize, 2, 8] {
             let got = report_fingerprint(&audit_parallel(&trie, &trail, threads));
             assert_eq!(
-                baseline, got,
-                "trie diverged from automaton at {threads} threads (seed {seed})"
+                oracle, got,
+                "shared trie diverged from direct at {threads} threads (seed {seed})"
             );
         }
     }
 }
 
 /// The paper's own workloads (Fig. 4 scenario and the hospital day) replay
-/// identically under the trie.
+/// identically on the shared trie, the uncached path and the direct oracle.
 #[test]
 fn paper_workloads_replay_identically_under_the_trie() {
     let day = generate_day(
@@ -106,49 +145,63 @@ fn paper_workloads_replay_identically_under_the_trie() {
         1337,
     );
     for trail in [figure4_trail(), day.trail] {
-        let automaton = hospital_auditor(Engine::Automaton);
+        let direct = hospital_auditor(Engine::Direct);
         let trie = hospital_auditor(Engine::Trie);
-        assert_eq!(
-            report_fingerprint(&automaton.audit(&trail)),
-            report_fingerprint(&trie.audit(&trail)),
-        );
+        let oracle = report_fingerprint(&direct.audit(&trail));
+        assert_eq!(oracle, report_fingerprint(&trie.audit(&trail)));
+        assert_eq!(oracle, uncached_fingerprint(&trie, &trail));
     }
 }
 
-/// Evidence traces are byte-identical modulo the provenance engine label.
+/// Evidence traces are byte-identical modulo the provenance engine label:
+/// direct oracle vs shared trie vs uncached path.
 #[test]
 fn evidence_traces_are_identical_modulo_engine_label() {
     let trail = dupheavy_trail(3);
-    let mut automaton = hospital_auditor(Engine::Automaton);
-    automaton.options.record_evidence = true;
+    let mut direct = hospital_auditor(Engine::Direct);
+    direct.options.record_evidence = true;
     let mut trie = hospital_auditor(Engine::Trie);
     trie.options.record_evidence = true;
-    let a_report = automaton.audit(&trail);
+    let d_report = direct.audit(&trail);
     let t_report = trie.audit(&trail);
-    assert_eq!(a_report.cases.len(), t_report.cases.len());
+    assert_eq!(d_report.cases.len(), t_report.cases.len());
     let mut compared = 0usize;
-    for (a, t) in a_report.cases.iter().zip(&t_report.cases) {
-        assert_eq!(a.case, t.case);
-        let (Some(mut ae), Some(mut te)) = (
-            automaton.case_evidence(&trail, a),
+    for (d, t) in d_report.cases.iter().zip(&t_report.cases) {
+        assert_eq!(d.case, t.case);
+        let (Some(mut de), Some(mut te)) = (
+            direct.case_evidence(&trail, d),
             trie.case_evidence(&trail, t),
         ) else {
-            assert_eq!(a.evidence.is_some(), t.evidence.is_some());
+            assert_eq!(d.evidence.is_some(), t.evidence.is_some());
             continue;
         };
-        assert_eq!(ae.engine, "automaton");
+        // The uncached path, rendered with the labels the auditor adopts.
+        let purpose = t.purpose.expect("evidence implies a resolved purpose");
+        let process = trie.registry.process_for(purpose).unwrap();
+        let entries = trail.project_case(t.case);
+        let roles = trie.context.roles();
+        let check = check_case(&process.encoded, roles, &entries, &trie.options).unwrap();
+        let mut ue = check.evidence_trace(&process.encoded, &entries).unwrap();
+        ue.case = t.case.to_string();
+        ue.purpose = purpose.to_string();
+
+        assert_eq!(de.engine, "direct");
         assert_eq!(te.engine, "trie");
-        ae.engine.clear();
+        assert_eq!(ue.engine, "trie");
+        de.engine.clear();
         te.engine.clear();
-        assert_eq!(ae.to_json_line(), te.to_json_line(), "case {}", a.case);
+        ue.engine.clear();
+        assert_eq!(de.to_json_line(), te.to_json_line(), "case {}", d.case);
+        assert_eq!(de.to_json_line(), ue.to_json_line(), "case {}", d.case);
         compared += 1;
     }
     assert!(compared > 50, "only {compared} evidence traces compared");
 }
 
-/// The live monitor raises the same alarms through the trie, including
-/// under eviction/rehydration pressure (resident cap far below the case
-/// count, so sessions round-trip the spill path mid-case).
+/// The live monitor — which walks the compiled automaton uncached —
+/// raises the same alarms as the direct oracle, including under
+/// eviction/rehydration pressure (resident cap far below the case count,
+/// so sessions round-trip the spill path mid-case).
 #[test]
 fn live_monitor_matches_under_eviction_pressure() {
     let trail = dupheavy_trail(11);
@@ -157,7 +210,7 @@ fn live_monitor_matches_under_eviction_pressure() {
         ..LiveConfig::default()
     };
     let mut outcomes: Vec<BTreeMap<Symbol, String>> = Vec::new();
-    for engine in [Engine::Automaton, Engine::Trie] {
+    for engine in [Engine::Direct, Engine::Trie] {
         let mut monitor = LiveAuditor::with_config(hospital_auditor(engine), config.clone());
         for entry in trail.entries() {
             monitor.observe(entry).unwrap();
@@ -177,7 +230,6 @@ fn live_monitor_matches_under_eviction_pressure() {
     assert_eq!(outcomes[0], outcomes[1]);
     assert!(!outcomes[0].is_empty());
 }
-
 /// Trie counters land in the metrics export, under the committed schema.
 #[test]
 fn trie_counters_export_and_match_schema() {
@@ -218,7 +270,8 @@ fn trie_counters_export_and_match_schema() {
 }
 
 /// A trie capped to a handful of cached transitions flushes wholesale and
-/// recomputes — verdicts must not move.
+/// recomputes — verdicts must not move from the direct oracle's, nor from
+/// the uncached path's.
 #[test]
 fn tiny_transition_cap_flushes_without_changing_verdicts() {
     let encoded = encode(&healthcare_treatment());
@@ -232,14 +285,18 @@ fn tiny_transition_cap_flushes_without_changing_verdicts() {
         engine: Engine::Trie,
         ..CheckOptions::default()
     };
-    let auto_opts = CheckOptions {
-        engine: Engine::Automaton,
+    let direct_opts = CheckOptions {
+        engine: Engine::Direct,
         ..CheckOptions::default()
     };
     let mut checked = 0usize;
     for case in trail.cases() {
         let entries: Vec<&LogEntry> = trail.project_case(case);
-        let expected = check_case(&encoded, &h, &entries, &auto_opts).unwrap();
+        let expected = check_case(&encoded, &h, &entries, &direct_opts).unwrap();
+        let uncached = check_case(&encoded, &h, &entries, &trie_opts).unwrap();
+        assert_eq!(expected.verdict, uncached.verdict, "case {case}");
+        assert_eq!(expected.explored_successors, uncached.explored_successors);
+        assert_eq!(expected.peak_configurations, uncached.peak_configurations);
         let got = check_case_with(
             &encoded,
             &h,
