@@ -1080,7 +1080,7 @@ fn p12_streaming(quick: bool) -> String {
 }
 
 fn p13_churn(quick: bool) -> String {
-    use purpose_control::checkpoint::{decode_case, encode_case};
+    use purpose_control::checkpoint::{decode_monitor, encode_monitor};
     use purpose_control::churn::{decode_churn, encode_churn};
     use workload::stream::{interleave, peak_concurrency};
 
@@ -1193,11 +1193,12 @@ fn p13_churn(quick: bool) -> String {
     assert!(alarms_match, "resume changed the alarm set");
     let _ = std::fs::remove_dir_all(&scratch);
 
-    // PCLE vs PCLC codec micro-bench on a representative eviction victim
-    // (see [`bench::spill_codec_fixtures`]).
+    // Case-record codec micro-bench on a representative eviction victim:
+    // the run-local record against its durable form (see
+    // [`bench::spill_codec_fixtures`]).
     let (churn, durable) = bench::spill_codec_fixtures();
     let pcle = encode_churn(&churn);
-    let pclc = encode_case(&durable);
+    let durable_bytes = encode_monitor(&durable).unwrap();
     const CODEC_ITERS: u32 = 2_000;
     let per_op = |d: Duration| d.as_nanos() as u64 / u128::from(CODEC_ITERS) as u64;
     let pcle_enc = per_op(median_time(
@@ -1216,10 +1217,10 @@ fn p13_churn(quick: bool) -> String {
         },
         5,
     ));
-    // What a rehydration cycle pays is envelope decode alone — the entry
-    // window stays in wire form. Materializing it (the alarm/durable-
-    // checkpoint path, and the closest like-for-like against PCLC decode)
-    // is measured separately.
+    // What a rehydration cycle pays is record decode alone — the entry
+    // window stays in wire form. Materializing it (the alarm path, and the
+    // closest like-for-like against the durable decode, which renumbers
+    // the window) is measured separately.
     let pcle_dec_full = per_op(median_time(
         || {
             for _ in 0..CODEC_ITERS {
@@ -1229,18 +1230,18 @@ fn p13_churn(quick: bool) -> String {
         },
         5,
     ));
-    let pclc_enc = per_op(median_time(
+    let durable_enc = per_op(median_time(
         || {
             for _ in 0..CODEC_ITERS {
-                std::hint::black_box(encode_case(std::hint::black_box(&durable)));
+                std::hint::black_box(encode_monitor(std::hint::black_box(&durable)).unwrap());
             }
         },
         5,
     ));
-    let pclc_dec = per_op(median_time(
+    let durable_dec = per_op(median_time(
         || {
             for _ in 0..CODEC_ITERS {
-                std::hint::black_box(decode_case(std::hint::black_box(&pclc)).unwrap());
+                std::hint::black_box(decode_monitor(std::hint::black_box(&durable_bytes)).unwrap());
             }
         },
         5,
@@ -1269,12 +1270,12 @@ fn p13_churn(quick: bool) -> String {
         stats.cap_rebalances,
     );
     println!(
-        "codec ({} entries in window): PCLE {} B enc {pcle_enc} ns dec {pcle_dec} ns \
+        "codec ({} entries in window): run-local {} B enc {pcle_enc} ns dec {pcle_dec} ns \
          ({pcle_dec_full} ns with window materialized) | \
-         PCLC {} B enc {pclc_enc} ns dec {pclc_dec} ns",
+         durable {} B enc {durable_enc} ns dec {durable_dec} ns",
         churn.entries.len(),
         pcle.len(),
-        pclc.len(),
+        durable_bytes.len(),
     );
     println!(
         "verdicts match batch: {verdicts_match} ({mismatches} mismatches) | \
@@ -1297,10 +1298,10 @@ fn p13_churn(quick: bool) -> String {
              \"rehydrations\": {}, \"spill_tier_hits\": {}, \"spill_disk_demotions\": {}, \
              \"spill_log_bytes\": {}, \"spill_compactions\": {}, \"cap_rebalances\": {} }},\n  \
            \"disk_eviction_reduction\": {disk_reduction:.1},\n  \
-           \"codec\": {{ \"pcle_bytes\": {}, \"pclc_bytes\": {}, \
+           \"codec\": {{ \"pcle_bytes\": {}, \"durable_bytes\": {}, \
              \"pcle_encode_ns\": {pcle_enc}, \"pcle_decode_ns\": {pcle_dec}, \
              \"pcle_decode_full_ns\": {pcle_dec_full}, \
-             \"pclc_encode_ns\": {pclc_enc}, \"pclc_decode_ns\": {pclc_dec} }},\n  \
+             \"durable_encode_ns\": {durable_enc}, \"durable_decode_ns\": {durable_dec} }},\n  \
            \"checkpoint\": {{ \"bytes\": {ckpt_bytes}, \"at_entry\": {mid}, \
              \"resume_offset_ok\": true, \"alarms_match_uninterrupted\": {alarms_match} }},\n  \
            \"verdicts_match_batch\": {verdicts_match}\n}}",
@@ -1316,7 +1317,7 @@ fn p13_churn(quick: bool) -> String {
         stats.spill_compactions,
         stats.cap_rebalances,
         pcle.len(),
-        pclc.len(),
+        durable_bytes.len(),
     )
 }
 
@@ -2079,10 +2080,6 @@ fn splice_section(existing: &str, key: &str, body: &str) -> String {
 
 /// Replace or append the `p14_serve` section of an existing report file
 /// without rerunning P1–P13 (the serving bench is self-contained).
-fn splice_p14(existing: &str, p14: &str) -> String {
-    splice_section(existing, "p14_serve", p14)
-}
-
 fn fig4_summary() {
     println!("## F4 — the paper's running example (Fig. 4)");
     let auditor = hospital_auditor();
@@ -2125,38 +2122,23 @@ fn main() {
     }
     let quick = argv.iter().any(|a| a == "--quick");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_replay.json");
-    if argv.iter().any(|a| a == "--only-p14") {
-        let p14 = p14_serve(quick);
-        let existing = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e} (run the full report first)", path.display()));
-        std::fs::write(&path, splice_p14(&existing, &p14)).expect("write report");
-        println!("wrote {}", path.display());
-        return;
-    }
-    if argv.iter().any(|a| a == "--only-p15") {
-        let p15 = p15_durability(quick);
-        let existing = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e} (run the full report first)", path.display()));
-        std::fs::write(&path, splice_section(&existing, "p15_durability", &p15))
-            .expect("write report");
-        println!("wrote {}", path.display());
-        return;
-    }
-    if argv.iter().any(|a| a == "--only-p16") {
-        let p16 = p16_tracing(quick);
-        let existing = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e} (run the full report first)", path.display()));
-        std::fs::write(&path, splice_section(&existing, "p16_tracing", &p16))
-            .expect("write report");
-        println!("wrote {}", path.display());
-        return;
-    }
     let gate = argv.iter().any(|a| a == "--gate");
-    if argv.iter().any(|a| a == "--only-p17") {
-        let p17 = p17_trie(quick, gate);
+    // Splice modes: rerun one section and replace its record in place.
+    let sections: [(&str, &str, &dyn Fn() -> String); 5] = [
+        ("--only-p13", "p13_churn", &|| p13_churn(quick)),
+        ("--only-p14", "p14_serve", &|| p14_serve(quick)),
+        ("--only-p15", "p15_durability", &|| p15_durability(quick)),
+        ("--only-p16", "p16_tracing", &|| p16_tracing(quick)),
+        ("--only-p17", "p17_trie", &|| p17_trie(quick, gate)),
+    ];
+    if let Some((_, key, run)) = sections
+        .iter()
+        .find(|(flag, ..)| argv.iter().any(|a| a == flag))
+    {
+        let body = run();
         let existing = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e} (run the full report first)", path.display()));
-        std::fs::write(&path, splice_section(&existing, "p17_trie", &p17)).expect("write report");
+        std::fs::write(&path, splice_section(&existing, key, &body)).expect("write report");
         println!("wrote {}", path.display());
         return;
     }

@@ -184,13 +184,14 @@ pub fn to_trail(entries: &[LogEntry]) -> AuditTrail {
     AuditTrail::from_entries(entries.to_vec())
 }
 
-/// A matched pair of spill envelopes — churn (`PCLE`) and durable
-/// (`PCLC`) — for the same populated session: the longest treatment case
-/// of a small synthetic hospital day, a representative eviction victim.
-/// Shared by the P13 report section and the `spill_codec` bench.
+/// One open case in both of its encodings — the run-local record eviction
+/// writes and its durable form, a one-case monitor checkpoint carrying its
+/// symbol and state tables — for the same populated session: the longest
+/// treatment case of a small synthetic hospital day, a representative
+/// eviction victim. Used by the P13 report section.
 pub fn spill_codec_fixtures() -> (
     purpose_control::ChurnCheckpoint,
-    purpose_control::CaseCheckpoint,
+    purpose_control::MonitorCheckpoint,
 ) {
     use purpose_control::session::{FeedOutcome, SessionCore};
     use workload::hospital::{generate_day, HospitalConfig};
@@ -225,24 +226,27 @@ pub fn spill_codec_fixtures() -> (
             last_seen = e.time;
         }
     }
+    let ids = core.conf_ids(&encoded);
+    let states = ids.iter().map(|&id| encoded.automaton.state(id)).collect();
     let churn = purpose_control::ChurnCheckpoint {
         case: victim,
         purpose: policy::samples::treatment(),
         process_key: encoded.snapshot_key(),
-        ids: core.conf_ids().expect("compiled engine").to_vec(),
+        ids,
         meta: core.export_meta(),
         entries: purpose_control::EntryBlock::from_entries(&kept),
         entries_dropped: 0,
         last_seen,
     };
-    let durable = purpose_control::CaseCheckpoint {
-        case: victim,
-        purpose: policy::samples::treatment(),
-        process_key: encoded.snapshot_key(),
-        state: core.export_state(),
-        entries: kept,
-        entries_dropped: 0,
-        last_seen,
+    let durable = purpose_control::MonitorCheckpoint {
+        stream_offset: 0,
+        cases: vec![purpose_control::ChurnCheckpoint {
+            ids: (0..churn.ids.len() as u32).collect(),
+            ..churn.clone()
+        }],
+        states,
+        closed: Vec::new(),
+        alarm_order: Vec::new(),
     };
     (churn, durable)
 }

@@ -1,50 +1,44 @@
-//! Live-session checkpoints.
+//! Durable monitor checkpoints.
 //!
-//! The streaming monitor ([`crate::live::LiveAuditor`]) must survive two
-//! things a batch auditor never faces: memory pressure (more open cases
-//! than it may keep resident) and restarts (a tailer killed mid-stream).
-//! Both reduce to the same primitive — serialize an *open* session so it
-//! can be rebuilt later, byte-identically.
+//! The streaming monitor ([`crate::live::LiveAuditor`]) must survive
+//! restarts (a tailer or server killed mid-stream). A checkpoint is the
+//! whole monitor in portable form; every open case in it is the same
+//! [`crate::churn`] record eviction writes, numbered in the durable
+//! namespace.
 //!
-//! The format deliberately reuses the `.pcas` machinery from
-//! [`cows::automaton::snapshot`]: the same versioned+checksummed envelope
-//! (magic, format version, content key, payload length, FNV-1a 64
-//! checksum), the same local symbol table, and the same fail-open typed
-//! errors. A case checkpoint is keyed by its process's
-//! [`Encoded::snapshot_key`], so a checkpoint written against yesterday's
-//! process model self-invalidates instead of resuming against the wrong
-//! automaton.
+//! The envelope reuses the `.pcas` machinery from
+//! [`cows::automaton::snapshot`]: magic, format version, key, payload
+//! length, FNV-1a 64 checksum, and strictly fail-open typed errors. Two
+//! envelopes exist:
 //!
-//! Two envelopes exist:
-//!
-//! * `PCLC` — one open case: the [`SessionState`] (configurations as COWS
-//!   terms, counters, temporal anchor) plus the monitor's per-case
-//!   bookkeeping (retained severity-context entries, drop counter, LRU
-//!   trail-time). This is both the spill-file format for evicted cases and
-//!   the per-case unit inside a monitor checkpoint.
-//! * `PCLM` — a whole monitor: the stream offset, every open case (each a
-//!   complete nested `PCLC` blob, so spill files and checkpoints are one
-//!   code path), the retired [`ClosedCase`] records and the alarm order.
+//! * `PCLM` — one monitor. Its payload is one [`StateEncoder`] stream: the
+//!   symbol table, then the stream offset, the state table (each distinct
+//!   configuration once, as a COWS term), the case records (symbols and
+//!   configurations as indices into the two tables; each record keyed by
+//!   its process's `Encoded::snapshot_key`, so a checkpoint written
+//!   against yesterday's model fails restore instead of resuming against
+//!   the wrong automaton), and the retired [`ClosedCase`] records with the
+//!   alarm order.
+//! * `PCLS` — a sharded monitor: one nested `PCLM` per shard.
 //!
 //! Like `.pcas` snapshots, decoded states are re-normalized under the
 //! current run's symbol order, so a checkpoint written by one process
-//! rehydrates into this run's canonical terms.
+//! restores into this run's canonical terms.
 
+use crate::churn::{decode_record, encode_record, ChurnCheckpoint};
 use crate::error::CheckError;
 use crate::live::ClosedCase;
 use crate::replay::{Infringement, InfringementKind};
-use crate::session::SessionState;
 use crate::severity::SeverityAssessment;
 use audit::entry::{LogEntry, TaskStatus};
 use audit::time::Timestamp;
 use cows::symbol::Symbol;
+use cows::weaknext::Marked;
 use cows::{SnapshotError, StableHasher, StateDecoder, StateEncoder};
 use policy::object::ObjectId;
 use policy::statement::Action;
 use std::fmt;
-
-/// Magic for a single-case checkpoint (spill files, nested case blobs).
-pub const CASE_MAGIC: [u8; 4] = *b"PCLC";
+use std::sync::Arc;
 
 /// Magic for a whole-monitor checkpoint.
 pub const MONITOR_MAGIC: [u8; 4] = *b"PCLM";
@@ -55,13 +49,15 @@ pub const SHARDED_MAGIC: [u8; 4] = *b"PCLS";
 /// Checkpoint format version (independent of the `.pcas` version).
 /// v2: closed-case records carry the severity breadth set, so resumed
 /// monitors keep folding post-alarm entries into the assessment.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// v3: open cases are `PCLE` case records over a shared symbol table and
+/// state table.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Envelope size: magic + version + key + payload length + checksum.
 pub const HEADER_LEN: usize = 32;
 
 /// Content key of a monitor envelope: monitors span processes, so the
-/// per-process keys live on the nested case blobs instead.
+/// per-process keys live on the case records instead.
 const MONITOR_KEY: u64 = 0;
 
 /// Why a checkpoint could not be restored into a live monitor. Codec
@@ -139,34 +135,16 @@ impl From<CheckError> for RestoreError {
     }
 }
 
-/// One open case in portable form: the session state plus the monitor's
-/// per-case bookkeeping.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CaseCheckpoint {
-    pub case: Symbol,
-    /// The purpose the case resolved to (restore re-resolves the process
-    /// through the auditor's registry and validates `process_key`).
-    pub purpose: Symbol,
-    /// [`Encoded::snapshot_key`] of the process the session was built
-    /// against.
-    pub process_key: u64,
-    pub state: SessionState,
-    /// Retained severity-context window (bounded by
-    /// `max_entries_per_case`).
-    pub entries: Vec<LogEntry>,
-    /// Entries shed from the front of the window.
-    pub entries_dropped: u64,
-    /// Trail-time of the last observed entry (idle-eviction clock).
-    pub last_seen: Timestamp,
-}
-
 /// A whole monitor in portable form.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MonitorCheckpoint {
     /// Byte offset the tailer had consumed up to (0 when unused).
     pub stream_offset: u64,
-    /// Every open case — resident and spilled alike.
-    pub cases: Vec<CaseCheckpoint>,
+    /// Every open case — resident and spilled alike — in case order. Each
+    /// record's `ids` index `states`; its entry window is run-local.
+    pub cases: Vec<ChurnCheckpoint>,
+    /// The configurations the case records point at, each once.
+    pub states: Vec<Arc<Marked>>,
     /// Alarmed cases retired into compact records.
     pub closed: Vec<ClosedCase>,
     /// Case names in the order their alarms fired.
@@ -383,181 +361,82 @@ fn get_severity(dec: &mut StateDecoder<'_>) -> Result<SeverityAssessment, Snapsh
     })
 }
 
-fn put_opt_str(enc: &mut StateEncoder, s: Option<&str>) {
-    match s {
-        None => enc.put_u8(0),
-        Some(s) => {
-            enc.put_u8(1);
-            enc.put_str(s);
-        }
-    }
-}
-
-fn get_opt_str(dec: &mut StateDecoder<'_>) -> Result<Option<String>, SnapshotError> {
-    match dec.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(dec.get_str()?)),
-        _ => Err(SnapshotError::Malformed("bad option flag")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Case checkpoints
-// ---------------------------------------------------------------------------
-
-/// Serialize one open case. The envelope key is the process's snapshot
-/// key, so a stale spill file fails closed at `decode` time rather than
-/// resuming against a changed process.
-pub fn encode_case(c: &CaseCheckpoint) -> Vec<u8> {
-    let mut enc = StateEncoder::new();
-    enc.put_sym(c.case);
-    enc.put_sym(c.purpose);
-    enc.put_u64(c.state.consumed as u64);
-    enc.put_u64(c.state.explored as u64);
-    enc.put_u64(c.state.peak as u64);
-    match c.state.first_time {
-        None => enc.put_u8(0),
-        Some(t) => {
-            enc.put_u8(1);
-            enc.put_u64(t.0);
-        }
-    }
-    put_opt_str(&mut enc, c.state.case_name.as_deref());
-    enc.put_len(c.entries.len());
-    for e in &c.entries {
-        put_entry(&mut enc, e);
-    }
-    enc.put_u64(c.entries_dropped);
-    enc.put_u64(c.last_seen.0);
-    enc.put_len(c.state.confs.len());
-    for m in &c.state.confs {
-        enc.put_state(m);
-    }
-    seal(CASE_MAGIC, c.process_key, enc.into_payload())
-}
-
-/// Decode one case checkpoint. States come back re-normalized under this
-/// run's symbol order; `process_key` is the envelope key (validated
-/// against the auditor's registry by the restore path, not here).
-pub fn decode_case(bytes: &[u8]) -> Result<CaseCheckpoint, SnapshotError> {
-    let (process_key, payload) = open(bytes, CASE_MAGIC)?;
-    let mut dec = StateDecoder::new(payload)?;
-    let case = dec.get_sym()?;
-    let purpose = dec.get_sym()?;
-    let consumed = dec.get_u64()? as usize;
-    let explored = dec.get_u64()? as usize;
-    let peak = dec.get_u64()? as usize;
-    let first_time = match dec.get_u8()? {
-        0 => None,
-        1 => Some(Timestamp(dec.get_u64()?)),
-        _ => return Err(SnapshotError::Malformed("bad first-time flag")),
-    };
-    let case_name = get_opt_str(&mut dec)?;
-    let n = dec.get_len()?;
-    let entries = (0..n)
-        .map(|_| get_entry(&mut dec))
-        .collect::<Result<Vec<_>, _>>()?;
-    let entries_dropped = dec.get_u64()?;
-    let last_seen = Timestamp(dec.get_u64()?);
-    let n = dec.get_len()?;
-    let confs = (0..n)
-        .map(|_| dec.get_state())
-        .collect::<Result<Vec<_>, _>>()?;
-    dec.finish()?;
-    Ok(CaseCheckpoint {
-        case,
-        purpose,
-        process_key,
-        state: SessionState {
-            confs,
-            peak,
-            explored,
-            consumed,
-            first_time,
-            case_name,
-        },
-        entries,
-        entries_dropped,
-        last_seen,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Monitor checkpoints
 // ---------------------------------------------------------------------------
 
-/// Serialize a whole monitor. Each open case is a complete nested `PCLC`
-/// blob — identical bytes to its spill file.
-pub fn encode_monitor(m: &MonitorCheckpoint) -> Vec<u8> {
+/// Serialize a whole monitor. Fails only if a case's in-memory entry
+/// window does not parse (monitor-internal corruption).
+pub fn encode_monitor(m: &MonitorCheckpoint) -> Result<Vec<u8>, SnapshotError> {
     let mut enc = StateEncoder::new();
     enc.put_u64(m.stream_offset);
+    enc.put_len(m.states.len());
+    for state in &m.states {
+        enc.put_state(state);
+    }
     enc.put_len(m.cases.len());
-    let mut nested: Vec<Vec<u8>> = Vec::with_capacity(m.cases.len());
     for c in &m.cases {
-        nested.push(encode_case(c));
+        let entries = c
+            .entries
+            .to_durable(c.case, |s| u64::from(enc.sym_index(s)))?;
+        let record = encode_record(c, &entries, |s| u64::from(enc.sym_index(s)));
+        enc.put_bytes(&record);
     }
-    let mut payload = enc.into_payload();
-    for blob in &nested {
-        payload.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-        payload.extend_from_slice(blob);
-    }
-    // Closed cases and alarm order go in a second symbol-table section so
-    // the nested raw blobs do not interleave with interned symbols.
-    let mut tail = StateEncoder::new();
-    tail.put_len(m.closed.len());
+    enc.put_len(m.closed.len());
     for c in &m.closed {
-        tail.put_sym(c.case);
-        tail.put_u64(c.after_alarm);
-        put_infringement(&mut tail, &c.infringement);
-        put_severity(&mut tail, &c.severity);
+        enc.put_sym(c.case);
+        enc.put_u64(c.after_alarm);
+        put_infringement(&mut enc, &c.infringement);
+        put_severity(&mut enc, &c.severity);
         // The breadth set: resumed monitors keep absorbing post-alarm
         // entries into the severity assessment.
-        tail.put_len(c.subjects.len());
+        enc.put_len(c.subjects.len());
         for &s in &c.subjects {
-            tail.put_sym(s);
+            enc.put_sym(s);
         }
     }
-    tail.put_len(m.alarm_order.len());
+    enc.put_len(m.alarm_order.len());
     for &c in &m.alarm_order {
-        tail.put_sym(c);
+        enc.put_sym(c);
     }
-    payload.extend_from_slice(&tail.into_payload());
-    seal(MONITOR_MAGIC, MONITOR_KEY, payload)
+    Ok(seal(MONITOR_MAGIC, MONITOR_KEY, enc.into_payload()))
 }
 
-/// Decode a whole-monitor checkpoint.
+/// Decode a whole-monitor checkpoint. Every symbol and state index is
+/// checked against its table; every entry window comes back run-local.
 pub fn decode_monitor(bytes: &[u8]) -> Result<MonitorCheckpoint, SnapshotError> {
     let (_, payload) = open(bytes, MONITOR_MAGIC)?;
-    // Head section: stream offset + case count.
     let mut dec = StateDecoder::new(payload)?;
     let stream_offset = dec.get_u64()?;
+    let nstates = dec.get_len()?;
+    let states = (0..nstates)
+        .map(|_| dec.get_state().map(Arc::new))
+        .collect::<Result<Vec<_>, _>>()?;
     let ncases = dec.get_len()?;
-    let mut pos = dec.consumed_bytes();
     let mut cases = Vec::with_capacity(ncases);
     for _ in 0..ncases {
-        if pos + 4 > payload.len() {
-            return Err(SnapshotError::Truncated);
+        let record = dec.get_bytes()?;
+        let table = |i: u64| {
+            dec.symbol(i)
+                .ok_or(SnapshotError::Malformed("symbol index out of range"))
+        };
+        let mut c = decode_record(record, table)?;
+        if c.ids.iter().any(|&id| id as usize >= states.len()) {
+            return Err(SnapshotError::Malformed("state index out of range"));
         }
-        let len = u32::from_le_bytes(payload[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        pos += 4;
-        if pos + len > payload.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        cases.push(decode_case(&payload[pos..pos + len])?);
-        pos += len;
+        c.entries = c.entries.to_run_local(c.case, table)?;
+        cases.push(c);
     }
-    // Tail section: closed cases + alarm order.
-    let mut tail = StateDecoder::new(&payload[pos..])?;
-    let nclosed = tail.get_len()?;
+    let nclosed = dec.get_len()?;
     let mut closed = Vec::with_capacity(nclosed);
     for _ in 0..nclosed {
-        let case = tail.get_sym()?;
-        let after_alarm = tail.get_u64()?;
-        let infringement = get_infringement(&mut tail)?;
-        let severity = get_severity(&mut tail)?;
-        let nsubjects = tail.get_len()?;
+        let case = dec.get_sym()?;
+        let after_alarm = dec.get_u64()?;
+        let infringement = get_infringement(&mut dec)?;
+        let severity = get_severity(&mut dec)?;
+        let nsubjects = dec.get_len()?;
         let subjects = (0..nsubjects)
-            .map(|_| tail.get_sym())
+            .map(|_| dec.get_sym())
             .collect::<Result<std::collections::BTreeSet<_>, _>>()?;
         closed.push(ClosedCase {
             case,
@@ -567,14 +446,15 @@ pub fn decode_monitor(bytes: &[u8]) -> Result<MonitorCheckpoint, SnapshotError> 
             after_alarm,
         });
     }
-    let nalarms = tail.get_len()?;
+    let nalarms = dec.get_len()?;
     let alarm_order = (0..nalarms)
-        .map(|_| tail.get_sym())
+        .map(|_| dec.get_sym())
         .collect::<Result<Vec<_>, _>>()?;
-    tail.finish()?;
+    dec.finish()?;
     Ok(MonitorCheckpoint {
         stream_offset,
         cases,
+        states,
         closed,
         alarm_order,
     })
@@ -626,9 +506,17 @@ pub fn decode_sharded(bytes: &[u8]) -> Result<Vec<Vec<u8>>, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auditor::{Auditor, ProcessRegistry};
+    use crate::churn::EntryBlock;
+    use crate::live::{LiveAuditor, LiveConfig};
+    use crate::session::SessionMeta;
+    use audit::samples::figure4_trail;
     use bpmn::encode::encode;
-    use bpmn::models::fig8_exclusive;
+    use bpmn::models::{clinical_trial, fig8_exclusive, healthcare_treatment};
     use cows::sym;
+    use policy::samples::{
+        clinical_trial_purpose, extended_hospital_policy, hospital_context, treatment,
+    };
     use policy::statement::Action;
 
     fn entry(task: &str, case: &str, minute: u64) -> LogEntry {
@@ -643,34 +531,51 @@ mod tests {
         )
     }
 
-    fn sample_case() -> CaseCheckpoint {
-        CaseCheckpoint {
+    /// A case record in the durable namespace: `ids` index the state table
+    /// of [`sample_monitor`].
+    fn sample_case() -> ChurnCheckpoint {
+        ChurnCheckpoint {
             case: sym("HT-7"),
             purpose: sym("treatment"),
             process_key: 0xfeed_beef,
-            state: SessionState {
-                confs: vec![encode(&fig8_exclusive()).initial()],
+            ids: vec![1, 0],
+            meta: SessionMeta {
                 peak: 3,
                 explored: 17,
                 consumed: 5,
                 first_time: Some(Timestamp(201007060900)),
                 case_name: Some("HT-7".to_string()),
             },
-            entries: vec![entry("T06", "HT-7", 201007060900)],
+            entries: EntryBlock::from_entries(&[entry("T06", "HT-7", 201007060900)]),
             entries_dropped: 2,
             last_seen: Timestamp(201007060905),
         }
     }
 
+    fn sample_monitor(closed: Vec<ClosedCase>) -> MonitorCheckpoint {
+        let alarm_order = closed.iter().map(|c| c.case).collect();
+        MonitorCheckpoint {
+            stream_offset: 12_345,
+            cases: vec![sample_case()],
+            states: vec![
+                Arc::new(encode(&fig8_exclusive()).initial()),
+                Arc::new(encode(&healthcare_treatment()).initial()),
+            ],
+            closed,
+            alarm_order,
+        }
+    }
+
     #[test]
     fn case_checkpoint_round_trips_byte_identically() {
-        let c = sample_case();
-        let bytes = encode_case(&c);
-        let back = decode_case(&bytes).unwrap();
-        assert_eq!(back, c);
+        let m = sample_monitor(vec![]);
+        let bytes = encode_monitor(&m).unwrap();
+        let back = decode_monitor(&bytes).unwrap();
+        assert_eq!(back.cases, vec![sample_case()]);
+        assert_eq!(back, m);
         // Re-encoding the decoded checkpoint reproduces the exact bytes —
-        // the property eviction/rehydration relies on.
-        assert_eq!(encode_case(&back), bytes);
+        // the property checkpoint → restore → checkpoint relies on.
+        assert_eq!(encode_monitor(&back).unwrap(), bytes);
     }
 
     #[test]
@@ -682,66 +587,163 @@ mod tests {
             active: vec![],
             kind: InfringementKind::ProcessDeviation,
         };
-        let m = MonitorCheckpoint {
-            stream_offset: 12_345,
-            cases: vec![sample_case()],
-            closed: vec![ClosedCase {
-                case: sym("HT-99"),
-                infringement: inf,
-                severity: SeverityAssessment {
-                    unaccounted_entries: 2,
-                    max_sensitivity: 1.5,
-                    subjects_touched: 1,
-                    score: 3.25,
-                },
-                subjects: [sym("Jane")].into_iter().collect(),
-                after_alarm: 4,
-            }],
-            alarm_order: vec![sym("HT-99")],
-        };
-        let bytes = encode_monitor(&m);
+        let m = sample_monitor(vec![ClosedCase {
+            case: sym("HT-99"),
+            infringement: inf,
+            severity: SeverityAssessment {
+                unaccounted_entries: 2,
+                max_sensitivity: 1.5,
+                subjects_touched: 1,
+                score: 3.25,
+            },
+            subjects: [sym("Jane")].into_iter().collect(),
+            after_alarm: 4,
+        }]);
+        let bytes = encode_monitor(&m).unwrap();
         let back = decode_monitor(&bytes).unwrap();
         assert_eq!(back, m);
-        assert_eq!(encode_monitor(&back), bytes);
+        assert_eq!(encode_monitor(&back).unwrap(), bytes);
+    }
+
+    fn auditor() -> Auditor {
+        let mut registry = ProcessRegistry::new();
+        registry.register(treatment(), healthcare_treatment());
+        registry.register(clinical_trial_purpose(), clinical_trial());
+        registry.add_case_prefix("HT-", treatment());
+        registry.add_case_prefix("CT-", clinical_trial_purpose());
+        Auditor::new(registry, extended_hospital_policy(), hospital_context())
+    }
+
+    /// A real checkpoint holding a spilled case (CT-1), a closed case
+    /// (HT-10) and a resident case with several configurations (HT-1).
+    fn populated_checkpoint() -> Vec<u8> {
+        let trail = figure4_trail();
+        let mut monitor = LiveAuditor::new(auditor());
+        for e in trail.project_case(sym("CT-1")).iter().take(3) {
+            monitor.observe(e).unwrap();
+        }
+        monitor.evict(sym("CT-1")).unwrap();
+        assert!(monitor
+            .observe(trail.project_case(sym("HT-10"))[0])
+            .unwrap()
+            .is_alarm());
+        let ht1 = trail.project_case(sym("HT-1"));
+        let several = |bytes: &[u8]| {
+            let m = decode_monitor(bytes).unwrap();
+            m.cases
+                .iter()
+                .any(|c| c.case == sym("HT-1") && c.ids.len() > 1)
+        };
+        for e in ht1 {
+            monitor.observe(e).unwrap();
+            let bytes = monitor.checkpoint(99).unwrap();
+            if several(&bytes) {
+                let m = decode_monitor(&bytes).unwrap();
+                assert_eq!((m.cases.len(), m.closed.len()), (2, 1));
+                assert_eq!(monitor.spilled_cases(), 1);
+                return bytes;
+            }
+        }
+        panic!("HT-1 never held several configurations");
+    }
+
+    /// Re-seal a monitor envelope around an edited payload.
+    fn reseal(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = bytes[HEADER_LEN..].to_vec();
+        edit(&mut payload);
+        seal(MONITOR_MAGIC, MONITOR_KEY, payload)
     }
 
     #[test]
     fn corruption_is_fail_open() {
-        let bytes = encode_case(&sample_case());
+        let bytes = populated_checkpoint();
+        // The untouched checkpoint restores.
+        let restored = LiveAuditor::restore(auditor(), LiveConfig::default(), &bytes);
+        assert_eq!(restored.unwrap().0.tracked_cases(), 2);
         // Magic.
-        assert_eq!(decode_case(b"XXXX").unwrap_err(), SnapshotError::BadMagic);
+        assert_eq!(
+            decode_monitor(b"XXXX").unwrap_err(),
+            SnapshotError::BadMagic
+        );
         // Every truncation point fails with a typed error, never a panic.
         for len in 0..bytes.len() {
-            assert!(decode_case(&bytes[..len]).is_err());
+            assert!(decode_monitor(&bytes[..len]).is_err());
+            assert!(LiveAuditor::restore(auditor(), LiveConfig::default(), &bytes[..len]).is_err());
         }
         // A flipped payload byte trips the checksum.
         let mut bad = bytes.clone();
         *bad.last_mut().unwrap() ^= 0xff;
         assert!(matches!(
-            decode_case(&bad).unwrap_err(),
+            decode_monitor(&bad).unwrap_err(),
             SnapshotError::ChecksumMismatch { .. }
         ));
         // Version bump is rejected.
         let mut vbad = bytes.clone();
         vbad[4] = 99;
         assert_eq!(
-            decode_case(&vbad).unwrap_err(),
+            decode_monitor(&vbad).unwrap_err(),
             SnapshotError::VersionMismatch {
                 found: 99,
                 expected: CHECKPOINT_VERSION
             }
         );
+        // Every single-byte change under a valid checksum either restores
+        // or returns a typed error; none panics. One shared auditor keeps
+        // the battery fast.
+        let shared = auditor();
+        for i in 0..bytes.len() - HEADER_LEN {
+            let edited = reseal(&bytes, |p| p[i] = p[i].wrapping_add(1));
+            let _ = LiveAuditor::restore(shared.clone(), LiveConfig::default(), &edited);
+        }
+    }
+
+    #[test]
+    fn indices_past_their_tables_are_rejected() {
+        let m = sample_monitor(vec![]);
+        // A state index one past the state table.
+        let mut bad = m.clone();
+        bad.cases[0].ids.push(m.states.len() as u32);
+        assert_eq!(
+            decode_monitor(&encode_monitor(&bad).unwrap()).unwrap_err(),
+            SnapshotError::Malformed("state index out of range")
+        );
+        // A record symbol, and a window symbol, one past the symbol table.
+        let c = sample_case();
+        for window_only in [false, true] {
+            let mut enc = StateEncoder::new();
+            enc.put_u64(0);
+            enc.put_len(0);
+            enc.put_len(1);
+            let entries = c.entries.to_durable(c.case, |s| {
+                u64::from(enc.sym_index(s)) + u64::from(window_only) * 1_000
+            });
+            let record = encode_record(
+                &ChurnCheckpoint {
+                    ids: vec![],
+                    ..c.clone()
+                },
+                &entries.unwrap(),
+                |s| u64::from(enc.sym_index(s)) + u64::from(!window_only) * 1_000,
+            );
+            enc.put_bytes(&record);
+            enc.put_len(0);
+            enc.put_len(0);
+            let bytes = seal(MONITOR_MAGIC, MONITOR_KEY, enc.into_payload());
+            assert_eq!(
+                decode_monitor(&bytes).unwrap_err(),
+                SnapshotError::Malformed("symbol index out of range"),
+                "window_only={window_only}"
+            );
+        }
     }
 
     #[test]
     fn sharded_checkpoint_round_trips() {
         let m = MonitorCheckpoint {
             stream_offset: 9,
-            cases: vec![sample_case()],
-            closed: vec![],
-            alarm_order: vec![],
+            ..sample_monitor(vec![])
         };
-        let shards = vec![encode_monitor(&m), encode_monitor(&m)];
+        let shards = vec![encode_monitor(&m).unwrap(), encode_monitor(&m).unwrap()];
         let bytes = encode_sharded(&shards);
         let back = decode_sharded(&bytes).unwrap();
         assert_eq!(back, shards);
@@ -758,10 +760,11 @@ mod tests {
         let m = MonitorCheckpoint {
             stream_offset: 0,
             cases: vec![],
+            states: vec![],
             closed: vec![],
             alarm_order: vec![],
         };
-        let mut bytes = encode_monitor(&m);
+        let mut bytes = encode_monitor(&m).unwrap();
         assert_eq!(decode_monitor(&bytes).unwrap(), m);
         bytes.push(0);
         assert!(decode_monitor(&bytes).is_err());

@@ -1,31 +1,29 @@
-//! The churn envelope — `PCLE`, the eviction format built for speed.
+//! The case record — `PCLE`, the one encoding of an open case.
 //!
-//! P12 measured the live monitor at ~8× batch speed, and the counters put
-//! the whole gap on spill churn: every eviction serialized the session's
-//! COWS terms through the durable `PCLC` checkpoint envelope (local symbol
-//! table, recursive term encoding, FNV checksum, one file per case), and
-//! every rehydration undid all of it. But an evicted case that rehydrates
-//! *in the same run* needs none of that ceremony:
+//! Algorithm 1 keeps one piece of state per open case: the configuration
+//! set plus a few counters. This module is its only wire format. One field
+//! layout (`encode_record` / `decode_record`) is written in one of two
+//! namespaces:
 //!
-//! * Configurations are already interned in the process's shared
-//!   [`ProcessAutomaton`](cows::automaton::ProcessAutomaton) — a `u32`
-//!   [`StateId`] per configuration is a complete, loss-free reference.
-//! * Symbols are already interned in the run-global interner — a `u32`
-//!   index per identifier replaces string tables entirely.
-//! * The blob never leaves the process (the in-memory tier) or outlives it
-//!   (the spill log is truncated on start, deleted on drop), so there is
-//!   no version negotiation and no checksum: corruption of our own heap
-//!   is not a threat model eviction needs to pay for on every entry.
+//! * **Run-local** ([`encode_churn`] / [`decode_churn`]) — symbols are
+//!   indices into the run-global interner and configurations are
+//!   [`StateId`]s of the process's shared
+//!   [`ProcessAutomaton`](cows::automaton::ProcessAutomaton). This is what
+//!   eviction writes and the spill store holds. Both kinds of index are
+//!   complete, loss-free references within the run, and the blob never
+//!   leaves the process (the in-memory tier) or outlives it (the spill log
+//!   is truncated on start, deleted on drop), so there is no version field
+//!   and no checksum. The result is a varint-packed record a few hundred
+//!   bytes long that encodes and decodes in well under a microsecond.
+//! * **Durable** — symbols index the symbol table and configurations index
+//!   the state table that a `PCLM` checkpoint carries once
+//!   ([`crate::checkpoint`]); the checkpoint envelope supplies the version
+//!   and checksum. Restore interns both tables into the current run and
+//!   re-encodes every record run-locally, so a restored case that is not
+//!   resident enters the spill store exactly like an evicted one.
 //!
-//! The result is a varint-packed record a few hundred bytes long that
-//! encodes and decodes in microseconds — the P13 micro-bench puts it an
-//! order of magnitude under `PCLC` on both sides.
-//!
-//! **`PCLE` is strictly run-local.** Anything that crosses a process
-//! boundary — whole-monitor checkpoints, restore — still uses the
-//! versioned, checksummed `PCLC`/`PCLM`/`PCLS` envelopes from
-//! [`crate::checkpoint`]. The spill store accepts both; the magic bytes
-//! dispatch.
+//! The entry window ([`EntryBlock`]) is kept run-local in memory and is
+//! renumbered entry by entry when a durable record is written or read.
 
 use crate::session::SessionMeta;
 use audit::entry::{LogEntry, TaskStatus};
@@ -39,17 +37,17 @@ use policy::statement::Action;
 /// Magic for a churn (same-run eviction) record.
 pub const CHURN_MAGIC: [u8; 4] = *b"PCLE";
 
-/// An evicted case in churn form: automaton state ids instead of terms,
-/// interner indices instead of strings.
+/// One open case: the session's configuration set and counters plus the
+/// monitor's per-case bookkeeping.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChurnCheckpoint {
     pub case: Symbol,
     pub purpose: Symbol,
     /// [`bpmn::encode::Encoded::snapshot_key`] of the process — revalidated
-    /// at rehydration exactly like the durable envelope.
+    /// at rehydration and at restore.
     pub process_key: u64,
-    /// The live configuration set as shared-automaton state ids, in set
-    /// order.
+    /// The live configuration set, in set order: shared-automaton state
+    /// ids in a run-local record, state-table indices in a durable one.
     pub ids: Vec<StateId>,
     /// Session counters (Algorithm 1 bookkeeping), carried verbatim.
     pub meta: SessionMeta,
@@ -95,20 +93,30 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, SnapshotError> {
     }
 }
 
-fn put_sym(out: &mut Vec<u8>, s: Symbol) {
-    put_varint(out, u64::from(s.index()));
+/// The run-local symbol number: the interner index.
+fn run_local(s: Symbol) -> u64 {
+    u64::from(s.index())
 }
 
-/// Decode one symbol index, validated against a caller-held
+/// Resolve a run-local symbol number against a caller-held
 /// [`Symbol::interned_len`] snapshot — one interner-lock acquisition per
-/// blob instead of one per symbol, which is what keeps rehydration off
-/// the interner lock under churn.
-fn get_sym(bytes: &[u8], pos: &mut usize, known: u32) -> Result<Symbol, SnapshotError> {
-    let idx = get_varint(bytes, pos)?;
-    u32::try_from(idx)
-        .ok()
-        .and_then(|i| Symbol::from_index_below(i, known))
-        .ok_or(SnapshotError::Malformed("symbol index unknown to this run"))
+/// blob instead of one per symbol, which is what keeps rehydration off the
+/// interner lock under churn.
+fn run_local_lookup(known: u32) -> impl Fn(u64) -> Result<Symbol, SnapshotError> {
+    move |idx| {
+        u32::try_from(idx)
+            .ok()
+            .and_then(|i| Symbol::from_index_below(i, known))
+            .ok_or(SnapshotError::Malformed("symbol index unknown to this run"))
+    }
+}
+
+fn get_sym(
+    bytes: &[u8],
+    pos: &mut usize,
+    sym: &impl Fn(u64) -> Result<Symbol, SnapshotError>,
+) -> Result<Symbol, SnapshotError> {
+    sym(get_varint(bytes, pos)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -135,19 +143,19 @@ fn entry_flags(e: &LogEntry) -> u8 {
 /// Encode one window entry. The case symbol is *not* stored — every entry
 /// of a spilled case shares the envelope's case, so it is re-attached at
 /// decode time.
-fn put_entry(out: &mut Vec<u8>, e: &LogEntry) {
+fn put_entry(out: &mut Vec<u8>, e: &LogEntry, sym: &mut impl FnMut(Symbol) -> u64) {
     out.push(entry_flags(e));
-    put_sym(out, e.user);
-    put_sym(out, e.role);
-    put_sym(out, e.task);
+    put_varint(out, sym(e.user));
+    put_varint(out, sym(e.role));
+    put_varint(out, sym(e.task));
     put_varint(out, e.time.0);
     if let Some(obj) = &e.object {
         if let Some(s) = obj.subject {
-            put_sym(out, s);
+            put_varint(out, sym(s));
         }
         put_varint(out, obj.path.len() as u64);
         for &p in &obj.path {
-            put_sym(out, p);
+            put_varint(out, sym(p));
         }
     }
 }
@@ -156,7 +164,7 @@ fn get_entry(
     bytes: &[u8],
     pos: &mut usize,
     case: Symbol,
-    known: u32,
+    sym: &impl Fn(u64) -> Result<Symbol, SnapshotError>,
 ) -> Result<LogEntry, SnapshotError> {
     let &flags = bytes.get(*pos).ok_or(SnapshotError::Truncated)?;
     *pos += 1;
@@ -174,13 +182,13 @@ fn get_entry(
     } else {
         TaskStatus::Success
     };
-    let user = get_sym(bytes, pos, known)?;
-    let role = get_sym(bytes, pos, known)?;
-    let task = get_sym(bytes, pos, known)?;
+    let user = get_sym(bytes, pos, sym)?;
+    let role = get_sym(bytes, pos, sym)?;
+    let task = get_sym(bytes, pos, sym)?;
     let time = Timestamp(get_varint(bytes, pos)?);
     let object = if flags & 0x8 != 0 {
         let subject = if flags & 0x10 != 0 {
-            Some(get_sym(bytes, pos, known)?)
+            Some(get_sym(bytes, pos, sym)?)
         } else {
             None
         };
@@ -189,7 +197,7 @@ fn get_entry(
             return Err(SnapshotError::Malformed("object path longer than blob"));
         }
         let path = (0..n)
-            .map(|_| get_sym(bytes, pos, known))
+            .map(|_| get_sym(bytes, pos, sym))
             .collect::<Result<_, _>>()?;
         Some(ObjectId { subject, path })
     } else {
@@ -251,7 +259,7 @@ fn skip_entry(bytes: &[u8], pos: &mut usize) -> Result<(), SnapshotError> {
 /// freshly observed entry encodes just that entry (which is also cheaper
 /// than the `LogEntry` clone it replaces). The window is only materialized
 /// where entries are actually consumed — severity assessment at alarm time
-/// and the durable `PCLC` conversion at whole-monitor checkpoints.
+/// — and renumbered at whole-monitor checkpoints.
 #[derive(Clone, Debug, Default)]
 pub struct EntryBlock {
     /// Number of encoded entries between `start` and the end of `bytes`.
@@ -271,7 +279,7 @@ impl PartialEq for EntryBlock {
 }
 
 impl EntryBlock {
-    /// Encode `entries` into a fresh block (the durable-restore path).
+    /// Encode `entries` into a fresh block.
     pub fn from_entries<'a, I>(entries: I) -> EntryBlock
     where
         I: IntoIterator<Item = &'a LogEntry>,
@@ -307,7 +315,7 @@ impl EntryBlock {
 
     /// Append one entry (encoding it in place).
     pub fn push(&mut self, e: &LogEntry) {
-        put_entry(&mut self.bytes, e);
+        put_entry(&mut self.bytes, e, &mut run_local);
         self.count += 1;
     }
 
@@ -338,18 +346,60 @@ impl EntryBlock {
         }
     }
 
-    /// Materialize the window (alarm severity, durable checkpoints). Every
-    /// entry is re-attached to `case`, exactly like envelope decode.
+    /// Materialize the window (alarm severity). Every entry is re-attached
+    /// to `case`, exactly like record decode.
     pub fn decode(&self, case: Symbol) -> Result<Vec<LogEntry>, SnapshotError> {
-        let known = Symbol::interned_len();
+        self.decode_in(case, &run_local_lookup(Symbol::interned_len()))
+    }
+
+    fn decode_in(
+        &self,
+        case: Symbol,
+        sym: &impl Fn(u64) -> Result<Symbol, SnapshotError>,
+    ) -> Result<Vec<LogEntry>, SnapshotError> {
         let mut pos = self.start;
         let entries = (0..self.count)
-            .map(|_| get_entry(&self.bytes, &mut pos, case, known))
+            .map(|_| get_entry(&self.bytes, &mut pos, case, sym))
             .collect::<Result<Vec<_>, _>>()?;
         if pos != self.bytes.len() {
             return Err(SnapshotError::Malformed("trailing bytes in entry window"));
         }
         Ok(entries)
+    }
+
+    /// Renumber every symbol of the window from one namespace into the
+    /// other: run-local into a checkpoint's symbol table on write, and back
+    /// on restore. A symbol `from` cannot resolve is an error.
+    fn recode(
+        &self,
+        case: Symbol,
+        from: impl Fn(u64) -> Result<Symbol, SnapshotError>,
+        mut to: impl FnMut(Symbol) -> u64,
+    ) -> Result<EntryBlock, SnapshotError> {
+        let mut block = EntryBlock::default();
+        for e in self.decode_in(case, &from)? {
+            put_entry(&mut block.bytes, &e, &mut to);
+            block.count += 1;
+        }
+        Ok(block)
+    }
+
+    /// Renumber a run-local window into a checkpoint's symbol table.
+    pub(crate) fn to_durable(
+        &self,
+        case: Symbol,
+        to: impl FnMut(Symbol) -> u64,
+    ) -> Result<EntryBlock, SnapshotError> {
+        self.recode(case, run_local_lookup(Symbol::interned_len()), to)
+    }
+
+    /// Renumber a durable window back into this run's interner.
+    pub(crate) fn to_run_local(
+        &self,
+        case: Symbol,
+        from: impl Fn(u64) -> Result<Symbol, SnapshotError>,
+    ) -> Result<EntryBlock, SnapshotError> {
+        self.recode(case, from, run_local)
     }
 }
 
@@ -363,15 +413,26 @@ const NAME_NONE: u8 = 0;
 const NAME_IS_CASE: u8 = 1;
 const NAME_INLINE: u8 = 2;
 
-/// Serialize a churn checkpoint. No checksum, no symbol table, no version
-/// field — see the module docs for why that is sound for a record that
-/// never leaves this run.
+/// Serialize a run-local record (eviction). No checksum, no symbol table,
+/// no version field — see the module docs for why that is sound for a
+/// record that never leaves this run.
 pub fn encode_churn(c: &ChurnCheckpoint) -> Vec<u8> {
+    encode_record(c, &c.entries, run_local)
+}
+
+/// The one field layout of a case record. `sym` numbers symbols in the
+/// target namespace; `c.ids` and `entries` must already be numbered in it
+/// (`entries` stands in for `c.entries`, which is always run-local).
+pub(crate) fn encode_record(
+    c: &ChurnCheckpoint,
+    entries: &EntryBlock,
+    mut sym: impl FnMut(Symbol) -> u64,
+) -> Vec<u8> {
     // Envelope + counters ≈ 40 B, plus the window verbatim, each id ≈ 2 B.
-    let mut out = Vec::with_capacity(48 + c.entries.live().len() + 4 * c.ids.len());
+    let mut out = Vec::with_capacity(48 + entries.live().len() + 4 * c.ids.len());
     out.extend_from_slice(&CHURN_MAGIC);
-    put_sym(&mut out, c.case);
-    put_sym(&mut out, c.purpose);
+    put_varint(&mut out, sym(c.case));
+    put_varint(&mut out, sym(c.purpose));
     out.extend_from_slice(&c.process_key.to_le_bytes());
     put_varint(&mut out, c.meta.consumed as u64);
     put_varint(&mut out, c.meta.explored as u64);
@@ -395,8 +456,8 @@ pub fn encode_churn(c: &ChurnCheckpoint) -> Vec<u8> {
     put_varint(&mut out, c.entries_dropped);
     put_varint(&mut out, c.last_seen.0);
     // The window travels verbatim: entry count, byte length, raw records.
-    let window = c.entries.live();
-    put_varint(&mut out, c.entries.len() as u64);
+    let window = entries.live();
+    put_varint(&mut out, entries.len() as u64);
     put_varint(&mut out, window.len() as u64);
     out.extend_from_slice(window);
     put_varint(&mut out, c.ids.len() as u64);
@@ -406,10 +467,20 @@ pub fn encode_churn(c: &ChurnCheckpoint) -> Vec<u8> {
     out
 }
 
-/// Decode a churn checkpoint. Fail-open with the same typed errors as the
+/// Decode a run-local record. Fail-open with the same typed errors as the
 /// durable envelopes (a defensive property, not a compatibility one — a
 /// malformed blob here would mean monitor-internal corruption).
 pub fn decode_churn(bytes: &[u8]) -> Result<ChurnCheckpoint, SnapshotError> {
+    decode_record(bytes, run_local_lookup(Symbol::interned_len()))
+}
+
+/// Decode a record in the namespace `sym` resolves. The window comes back
+/// in wire form, still numbered in that namespace; `ids` are returned as
+/// written.
+pub(crate) fn decode_record(
+    bytes: &[u8],
+    sym: impl Fn(u64) -> Result<Symbol, SnapshotError>,
+) -> Result<ChurnCheckpoint, SnapshotError> {
     if bytes.len() < 4 {
         return Err(SnapshotError::Truncated);
     }
@@ -417,9 +488,8 @@ pub fn decode_churn(bytes: &[u8]) -> Result<ChurnCheckpoint, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let mut pos = 4;
-    let known = Symbol::interned_len();
-    let case = get_sym(bytes, &mut pos, known)?;
-    let purpose = get_sym(bytes, &mut pos, known)?;
+    let case = get_sym(bytes, &mut pos, &sym)?;
+    let purpose = get_sym(bytes, &mut pos, &sym)?;
     if pos + 8 > bytes.len() {
         return Err(SnapshotError::Truncated);
     }
@@ -476,7 +546,7 @@ pub fn decode_churn(bytes: &[u8]) -> Result<ChurnCheckpoint, SnapshotError> {
         .ok_or(SnapshotError::Truncated)?;
     pos += nbytes;
     // The window stays in wire form — rehydration pays O(ids + meta), and
-    // the entries decode only at an alarm or a durable checkpoint.
+    // the entries decode only at an alarm or a checkpoint.
     let entries = EntryBlock::from_wire(nentries, raw.to_vec());
     let nids = get_varint(bytes, &mut pos)? as usize;
     if nids > bytes.len() {
@@ -490,7 +560,7 @@ pub fn decode_churn(bytes: &[u8]) -> Result<ChurnCheckpoint, SnapshotError> {
         );
     }
     if pos != bytes.len() {
-        return Err(SnapshotError::Malformed("trailing bytes after churn blob"));
+        return Err(SnapshotError::Malformed("trailing bytes after case record"));
     }
     Ok(ChurnCheckpoint {
         case,
@@ -599,29 +669,63 @@ mod tests {
 
     #[test]
     fn churn_is_far_smaller_than_the_durable_envelope() {
+        // The durable form of the same case: the record renumbered into a
+        // one-case checkpoint that carries its symbol and state tables.
         let c = sample();
-        let durable = crate::checkpoint::encode_case(&crate::checkpoint::CaseCheckpoint {
-            case: c.case,
-            purpose: c.purpose,
-            process_key: c.process_key,
-            state: crate::session::SessionState {
-                confs: vec![bpmn::encode::encode(&bpmn::models::fig8_exclusive()).initial()],
-                peak: c.meta.peak,
-                explored: c.meta.explored,
-                consumed: c.meta.consumed,
-                first_time: c.meta.first_time,
-                case_name: c.meta.case_name.clone(),
-            },
-            entries: c.entries.decode(c.case).unwrap(),
-            entries_dropped: c.entries_dropped,
-            last_seen: c.last_seen,
-        });
+        let state = bpmn::encode::encode(&bpmn::models::fig8_exclusive()).initial();
+        let durable = crate::checkpoint::encode_monitor(&crate::checkpoint::MonitorCheckpoint {
+            stream_offset: 0,
+            cases: vec![ChurnCheckpoint {
+                ids: vec![0, 0, 0],
+                ..c.clone()
+            }],
+            states: vec![std::sync::Arc::new(state)],
+            closed: vec![],
+            alarm_order: vec![],
+        })
+        .unwrap();
         let churn = encode_churn(&c);
         assert!(
             churn.len() * 3 < durable.len(),
             "churn {} B vs durable {} B",
             churn.len(),
             durable.len()
+        );
+    }
+
+    #[test]
+    fn recoding_a_window_through_another_namespace_round_trips() {
+        // Run-local → a private symbol table → run-local again.
+        let c = sample();
+        let mut table: Vec<Symbol> = Vec::new();
+        let durable = c
+            .entries
+            .to_durable(c.case, |s| {
+                let i = table.iter().position(|&t| t == s).unwrap_or_else(|| {
+                    table.push(s);
+                    table.len() - 1
+                });
+                i as u64
+            })
+            .unwrap();
+        assert_eq!(durable.len(), c.entries.len());
+        let lookup = |i: u64| {
+            table
+                .get(i as usize)
+                .copied()
+                .ok_or(SnapshotError::Malformed("symbol index out of range"))
+        };
+        assert_eq!(durable.to_run_local(c.case, lookup).unwrap(), c.entries);
+        // A table too short for the window is rejected, never guessed.
+        let short = |i: u64| {
+            table[..1]
+                .get(i as usize)
+                .copied()
+                .ok_or(SnapshotError::Malformed("symbol index out of range"))
+        };
+        assert_eq!(
+            durable.to_run_local(c.case, short).unwrap_err(),
+            SnapshotError::Malformed("symbol index out of range")
         );
     }
 

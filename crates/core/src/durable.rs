@@ -6,7 +6,7 @@
 //! durable byte the system wrote sat in the page cache until the kernel
 //! felt like flushing it, and spill-log compaction renamed a tmp file
 //! that was never synced — a `kill -9` or power cut could tear
-//! `spill.log`, `.pclc`/`.ckpt` checkpoints and `.pcas` snapshots. The
+//! `spill.log`, per-case spill files, `.ckpt` checkpoints and `.pcas` snapshots. The
 //! paper's whole value proposition is a-posteriori accountability; state
 //! that evaporates with the machine is not evidence.
 //!

@@ -65,7 +65,7 @@ pub mod trie;
 pub use auditor::{
     AuditReport, Auditor, CaseOutcome, CaseResult, InconclusiveReason, ProcessRegistry,
 };
-pub use checkpoint::{CaseCheckpoint, MonitorCheckpoint, RestoreError};
+pub use checkpoint::{MonitorCheckpoint, RestoreError};
 pub use churn::{decode_churn, encode_churn, ChurnCheckpoint, EntryBlock};
 pub use drift::{allowed_successions, case_task_log, drift_report, DriftReport};
 pub use durable::{atomic_write_sync, DurableFile, SyncPolicy};
@@ -79,7 +79,7 @@ pub use replay::{
     check_case, check_case_traced, check_case_with, CaseCheck, CheckOptions, Configuration, Engine,
     FailPoints, Infringement, InfringementKind, Verdict,
 };
-pub use session::{FeedOutcome, ReplaySession, SessionMeta, SessionState};
+pub use session::{FeedOutcome, ReplaySession, SessionMeta};
 pub use severity::{assess, SensitivityModel, SeverityAssessment};
 pub use sharded::{shard_of, ShardedMonitor};
 pub use startup::StartupStats;

@@ -33,21 +33,20 @@
 //!   [`LiveConfig::eviction_debounce`] LRU ticks so hot cases stop
 //!   thrashing through the spill store ([`LiveStats::evictions_avoided`]
 //!   counts every time the shield overrode plain LRU).
-//! * **The churn envelope** — within a run, evicted sessions travel as
-//!   compact [`crate::churn`] `PCLE` records (raw automaton ids + interner
-//!   indices, varint-packed) instead of the durable `PCLC` checkpoint;
-//!   whole-monitor [`LiveAuditor::checkpoint`]/[`LiveAuditor::restore`]
-//!   still speak `PCLC`/`PCLM` only.
+//! * **One case record** — an evicted session travels as a compact
+//!   [`crate::churn`] `PCLE` record in the run-local namespace (raw
+//!   automaton ids + interner indices, varint-packed), for either engine.
+//!   Whole-monitor [`LiveAuditor::checkpoint`] writes the same records in
+//!   the durable namespace, and [`LiveAuditor::restore`] turns them back
+//!   into run-local ones, so the spill store only ever holds one format.
 //! * **Tiered spilling** — blobs land in a size-capped compressed
 //!   in-memory tier ([`crate::spill::SpillStore`]) and reach disk only by
 //!   coalesced batched appends to a single run-scoped spill log, not one
 //!   file per case per eviction.
 
 use crate::auditor::{Auditor, RegisteredProcess};
-use crate::checkpoint::{
-    decode_case, encode_case, CaseCheckpoint, MonitorCheckpoint, RestoreError,
-};
-use crate::churn::{decode_churn, encode_churn, ChurnCheckpoint, EntryBlock, CHURN_MAGIC};
+use crate::checkpoint::{decode_monitor, encode_monitor, MonitorCheckpoint, RestoreError};
+use crate::churn::{decode_churn, encode_churn, ChurnCheckpoint, EntryBlock};
 use crate::durable::SyncPolicy;
 use crate::error::CheckError;
 use crate::replay::{CaseCheck, Infringement, Verdict};
@@ -57,6 +56,7 @@ use crate::spill::SpillStore;
 use audit::entry::LogEntry;
 use audit::time::Timestamp;
 use cows::symbol::Symbol;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -259,7 +259,7 @@ struct LiveCase {
     /// Trailing entry window (severity context), bounded by
     /// `max_entries_per_case`. Kept in wire form so eviction and
     /// rehydration move it as bytes; it only decodes at an alarm or a
-    /// durable checkpoint.
+    /// checkpoint.
     entries: EntryBlock,
     /// Entries shed from the front of the window.
     entries_dropped: u64,
@@ -272,6 +272,30 @@ struct LiveCase {
     protected: bool,
     /// Shielded from eviction until this LRU tick (rehydration debounce).
     shielded_until: u64,
+}
+
+impl LiveCase {
+    /// The case's run-local record.
+    fn record(&self, case: Symbol, process_key: u64) -> ChurnCheckpoint {
+        ChurnCheckpoint {
+            case,
+            purpose: self.process.purpose,
+            process_key,
+            ids: self.core.conf_ids(&self.process.encoded),
+            meta: self.core.export_meta(),
+            // The window splices into the record as bytes — eviction cost
+            // is O(ids), not O(window).
+            entries: self.entries.clone(),
+            entries_dropped: self.entries_dropped,
+            last_seen: self.last_seen,
+        }
+    }
+}
+
+fn checkpoint_error(e: cows::SnapshotError) -> CheckError {
+    CheckError::Checkpoint {
+        detail: e.to_string(),
+    }
 }
 
 /// A streaming auditor: feed it log entries as the systems emit them.
@@ -538,8 +562,8 @@ impl LiveAuditor {
                 // Severity over the retained window: the infringing entry
                 // is always the window's last element, so re-anchoring the
                 // index to the window start reproduces the unbounded
-                // monitor's assessment exactly. This is one of the two
-                // places the wire-form window actually materializes.
+                // monitor's assessment exactly. This is where the wire-form
+                // window materializes.
                 let window = live
                     .entries
                     .decode(case)
@@ -610,37 +634,19 @@ impl LiveAuditor {
     }
 
     fn peek_spilled(&self, case: Symbol) -> Result<CaseCheck, CheckError> {
-        let bytes = self.load_spilled(case)?;
-        let (process, core) = self.decode_spilled(&bytes)?;
-        core.finish(&process.encoded)
+        let (process, c) = self.spilled_record(&self.load_spilled(case)?)?;
+        SessionCore::from_interned(&process.encoded, self.auditor.options, c.ids, c.meta)?
+            .finish(&process.encoded)
     }
 
-    /// Rebuild a session from a spilled blob without admitting it,
-    /// dispatching on the envelope magic (`PCLE` churn vs durable `PCLC`).
-    fn decode_spilled(
+    /// Decode a spilled record and resolve its process.
+    fn spilled_record(
         &self,
         bytes: &[u8],
-    ) -> Result<(Arc<RegisteredProcess>, SessionCore), CheckError> {
-        if bytes.len() >= 4 && bytes[..4] == CHURN_MAGIC {
-            let ckpt = decode_churn(bytes).map_err(|e| CheckError::Checkpoint {
-                detail: e.to_string(),
-            })?;
-            let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-            let core = SessionCore::from_interned(
-                &process.encoded,
-                self.auditor.options,
-                ckpt.ids,
-                ckpt.meta,
-            )?;
-            Ok((process, core))
-        } else {
-            let ckpt = decode_case(bytes).map_err(|e| CheckError::Checkpoint {
-                detail: e.to_string(),
-            })?;
-            let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-            let core = SessionCore::from_state(&process.encoded, self.auditor.options, ckpt.state)?;
-            Ok((process, core))
-        }
+    ) -> Result<(Arc<RegisteredProcess>, ChurnCheckpoint), CheckError> {
+        let c = decode_churn(bytes).map_err(checkpoint_error)?;
+        let process = self.validated_process(c.case, c.purpose, c.process_key)?;
+        Ok((process, c))
     }
 
     /// Registry lookup + process-key check shared by every rehydration
@@ -672,49 +678,18 @@ impl LiveAuditor {
         Ok(process)
     }
 
-    /// Serialize one resident open case (the eviction payload, exposed for
-    /// inspection and tests).
-    pub fn checkpoint_case(&self, case: Symbol) -> Option<Vec<u8>> {
-        let live = self.cases.get(&case)?;
-        Some(encode_case(&CaseCheckpoint {
-            case,
-            purpose: live.process.purpose,
-            process_key: live.process.encoded.snapshot_key(),
-            state: live.core.export_state(),
-            entries: live.entries.decode(case).ok()?,
-            entries_dropped: live.entries_dropped,
-            last_seen: live.last_seen,
-        }))
-    }
-
     /// Evict one resident case to the spill store. No-op result for a case
     /// that is not resident.
     ///
-    /// Compiled-engine sessions travel as the run-local `PCLE` churn
-    /// envelope — raw state ids, no term serialization — which is what
-    /// makes eviction cheap enough for an undersized cap. Direct-engine
-    /// sessions have no shared automaton to point into and fall back to
-    /// the durable `PCLC` encoding.
+    /// The session travels as a run-local `PCLE` record — raw state ids, no
+    /// term serialization — which is what makes eviction cheap enough for
+    /// an undersized cap.
     pub fn evict(&mut self, case: Symbol) -> Result<(), CheckError> {
         let Some(live) = self.cases.get(&case) else {
             return Ok(());
         };
         let spill_start = std::time::Instant::now();
-        let bytes = match live.core.conf_ids() {
-            Some(ids) => encode_churn(&ChurnCheckpoint {
-                case,
-                purpose: live.process.purpose,
-                process_key: live.process.encoded.snapshot_key(),
-                ids: ids.to_vec(),
-                meta: live.core.export_meta(),
-                // The window splices into the envelope as bytes — eviction
-                // cost is O(ids), not O(window).
-                entries: live.entries.clone(),
-                entries_dropped: live.entries_dropped,
-                last_seen: live.last_seen,
-            }),
-            None => self.checkpoint_case(case).expect("checked resident above"),
-        };
+        let bytes = encode_churn(&live.record(case, live.process.encoded.snapshot_key()));
         match self.spill.insert(case, &bytes) {
             Ok(()) => {}
             Err(e) if e.is_no_space() => {
@@ -773,76 +748,38 @@ impl LiveAuditor {
             .ok_or_else(|| CheckError::Checkpoint {
                 detail: format!("case {case} is not in the spill store"),
             })?;
-        let (process, core, entries, entries_dropped, last_seen) = if bytes.len() >= 4
-            && bytes[..4] == CHURN_MAGIC
-        {
-            let ckpt = decode_churn(&bytes).map_err(|e| CheckError::Checkpoint {
-                detail: e.to_string(),
-            })?;
-            let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-            let core = SessionCore::from_interned(
-                &process.encoded,
-                self.auditor.options,
-                ckpt.ids,
-                ckpt.meta,
-            )?;
-            (
-                process,
-                core,
-                ckpt.entries,
-                ckpt.entries_dropped,
-                ckpt.last_seen,
-            )
-        } else {
-            let ckpt = decode_case(&bytes).map_err(|e| CheckError::Checkpoint {
-                detail: e.to_string(),
-            })?;
-            let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-            let core = SessionCore::from_state(&process.encoded, self.auditor.options, ckpt.state)?;
-            (
-                process,
-                core,
-                EntryBlock::from_entries(&ckpt.entries),
-                ckpt.entries_dropped,
-                ckpt.last_seen,
-            )
-        };
-        self.tick += 1;
-        let shielded_until = self.config.eviction_debounce.map_or(0, |d| self.tick + d);
-        self.cases.insert(
-            case,
-            LiveCase {
-                process,
-                core,
-                entries,
-                entries_dropped,
-                last_seen,
-                touched: self.tick,
-                protected: false,
-                shielded_until,
-            },
-        );
+        let (process, c) = self.spilled_record(&bytes)?;
+        self.admit(process, c, self.config.eviction_debounce)?;
         self.stats.rehydrations += 1;
         self.record_stage(obs::Stage::Rehydrate, rehydrate_start, case);
         Ok(())
     }
 
-    /// Build a resident [`LiveCase`] from a decoded durable checkpoint
-    /// (the restore path), validating it against the current registry.
-    fn admit(&mut self, ckpt: CaseCheckpoint) -> Result<LiveCase, CheckError> {
-        let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-        let core = SessionCore::from_state(&process.encoded, self.auditor.options, ckpt.state)?;
+    /// Rebuild a session from a run-local record and make it resident,
+    /// shielded from eviction for `debounce` LRU ticks.
+    fn admit(
+        &mut self,
+        process: Arc<RegisteredProcess>,
+        c: ChurnCheckpoint,
+        debounce: Option<u64>,
+    ) -> Result<(), CheckError> {
+        let core =
+            SessionCore::from_interned(&process.encoded, self.auditor.options, c.ids, c.meta)?;
         self.tick += 1;
-        Ok(LiveCase {
-            process,
-            core,
-            entries: EntryBlock::from_entries(&ckpt.entries),
-            entries_dropped: ckpt.entries_dropped,
-            last_seen: ckpt.last_seen,
-            touched: self.tick,
-            protected: false,
-            shielded_until: 0,
-        })
+        self.cases.insert(
+            c.case,
+            LiveCase {
+                process,
+                core,
+                entries: c.entries,
+                entries_dropped: c.entries_dropped,
+                last_seen: c.last_seen,
+                touched: self.tick,
+                protected: false,
+                shielded_until: debounce.map_or(0, |d| self.tick + d),
+            },
+        );
+        Ok(())
     }
 
     /// The protected segment's share of the resident budget.
@@ -980,58 +917,57 @@ impl LiveAuditor {
     }
 
     /// Serialize the whole monitor: stream offset, every open case
-    /// (resident and spilled), retired records and alarm order.
+    /// (resident and spilled, in case order), retired records and alarm
+    /// order. Spilled cases are read as records, never rebuilt as sessions.
     pub fn checkpoint(&self, stream_offset: u64) -> Result<Vec<u8>, CheckError> {
-        let mut cases: Vec<CaseCheckpoint> = Vec::with_capacity(self.tracked_cases());
-        let mut names: Vec<Symbol> = self.cases.keys().copied().collect();
-        names.sort();
-        for case in names {
-            let live = &self.cases[&case];
-            cases.push(CaseCheckpoint {
-                case,
-                purpose: live.process.purpose,
-                process_key: live.process.encoded.snapshot_key(),
-                state: live.core.export_state(),
-                entries: live
-                    .entries
-                    .decode(case)
-                    .map_err(|e| CheckError::Checkpoint {
-                        detail: format!("case {case} entry window: {e}"),
-                    })?,
-                entries_dropped: live.entries_dropped,
-                last_seen: live.last_seen,
-            });
+        // One registry lookup and one process key per purpose.
+        let mut processes: HashMap<Symbol, (Arc<RegisteredProcess>, u64)> = HashMap::new();
+        let mut process_of =
+            |purpose: Symbol| -> Result<(Arc<RegisteredProcess>, u64), CheckError> {
+                if let Some(p) = processes.get(&purpose) {
+                    return Ok(p.clone());
+                }
+                let process = self.auditor.registry.process_for(purpose).ok_or(
+                    CheckError::UnknownPurpose {
+                        purpose: purpose.to_string(),
+                    },
+                )?;
+                let entry = (process.clone(), process.encoded.snapshot_key());
+                processes.insert(purpose, entry.clone());
+                Ok(entry)
+            };
+        let mut cases = Vec::with_capacity(self.tracked_cases());
+        for (&case, live) in &self.cases {
+            let (_, key) = process_of(live.process.purpose)?;
+            cases.push(live.record(case, key));
         }
-        let mut names: Vec<Symbol> = self.spill.cases();
-        names.sort();
-        for case in names {
-            let bytes = self.load_spilled(case)?;
-            // Churn blobs never cross a run boundary: materialize them into
-            // the durable encoding (a rebuilt session's `export_state`, so
-            // the checkpoint is identical to an unevicted monitor's).
-            if bytes.len() >= 4 && bytes[..4] == CHURN_MAGIC {
-                let ckpt = decode_churn(&bytes).map_err(|e| CheckError::Checkpoint {
-                    detail: e.to_string(),
-                })?;
-                let (process, core) = self.decode_spilled(&bytes)?;
-                cases.push(CaseCheckpoint {
-                    case,
-                    purpose: ckpt.purpose,
-                    process_key: process.encoded.snapshot_key(),
-                    state: core.export_state(),
-                    entries: ckpt
-                        .entries
-                        .decode(case)
-                        .map_err(|e| CheckError::Checkpoint {
-                            detail: format!("case {case} entry window: {e}"),
-                        })?,
-                    entries_dropped: ckpt.entries_dropped,
-                    last_seen: ckpt.last_seen,
+        for case in self.spill.cases() {
+            cases.push(decode_churn(&self.load_spilled(case)?).map_err(checkpoint_error)?);
+        }
+        cases.sort_by_key(|c| c.case);
+        // The state table: each distinct configuration of each process
+        // once, in first-use order.
+        let mut table: HashMap<(Symbol, u32), u32> = HashMap::new();
+        let mut states = Vec::new();
+        for c in &mut cases {
+            let (process, key) = process_of(c.purpose)?;
+            if c.process_key != key {
+                return Err(CheckError::Checkpoint {
+                    detail: format!("case {} spilled under a different process key", c.case),
                 });
-            } else {
-                cases.push(decode_case(&bytes).map_err(|e| CheckError::Checkpoint {
-                    detail: e.to_string(),
-                })?);
+            }
+            let auto = &process.encoded.automaton;
+            let known = auto.len();
+            for id in &mut c.ids {
+                if *id as usize >= known {
+                    return Err(CheckError::Checkpoint {
+                        detail: format!("case {} record id {id} outside automaton", c.case),
+                    });
+                }
+                *id = *table.entry((c.purpose, *id)).or_insert_with(|| {
+                    states.push(auto.state(*id));
+                    states.len() as u32 - 1
+                });
             }
         }
         let closed = self
@@ -1039,41 +975,51 @@ impl LiveAuditor {
             .iter()
             .map(|c| self.closed[c].clone())
             .collect();
-        Ok(crate::checkpoint::encode_monitor(&MonitorCheckpoint {
+        encode_monitor(&MonitorCheckpoint {
             stream_offset,
             cases,
+            states,
             closed,
             alarm_order: self.alarm_order.clone(),
-        }))
+        })
+        .map_err(checkpoint_error)
     }
 
-    /// Rebuild a monitor from a [`LiveAuditor::checkpoint`] blob. Open
-    /// cases beyond `max_open_cases` are spilled immediately (most-recent
-    /// cases stay resident). Returns the monitor and the checkpoint's
-    /// stream offset.
+    /// Rebuild a monitor from a [`LiveAuditor::checkpoint`] blob. Both
+    /// tables are interned into this run, and every case record is
+    /// renumbered run-locally: cases beyond `max_open_cases` go straight
+    /// into the spill store as the records an eviction would have written
+    /// (most-recent cases stay resident). Returns the monitor and the
+    /// checkpoint's stream offset.
     pub fn restore(
         auditor: Auditor,
         config: LiveConfig,
         bytes: &[u8],
     ) -> Result<(LiveAuditor, u64), RestoreError> {
-        let ckpt = crate::checkpoint::decode_monitor(bytes)?;
+        let ckpt = decode_monitor(bytes)?;
         let resident_cap = config.max_open_cases.max(1);
         let mut monitor = LiveAuditor::with_config(auditor, config);
+        // Validate every case against the registry up front, spilled ones
+        // included, so a stale checkpoint fails before anything is admitted.
+        let mut processes: HashMap<Symbol, (Arc<RegisteredProcess>, u64)> = HashMap::new();
         for c in &ckpt.cases {
-            // Validate every case against the registry up front, spilled
-            // ones included, so a stale checkpoint fails atomically.
-            let process = monitor.auditor.registry.process_for(c.purpose).ok_or(
-                RestoreError::UnknownPurpose {
-                    case: c.case.to_string(),
-                    purpose: c.purpose.to_string(),
-                },
-            )?;
-            let expected = process.encoded.snapshot_key();
-            if c.process_key != expected {
+            let (_, expected) = match processes.entry(c.purpose) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    let process = monitor.auditor.registry.process_for(c.purpose).ok_or(
+                        RestoreError::UnknownPurpose {
+                            case: c.case.to_string(),
+                            purpose: c.purpose.to_string(),
+                        },
+                    )?;
+                    e.insert((process.clone(), process.encoded.snapshot_key()))
+                }
+            };
+            if c.process_key != *expected {
                 return Err(RestoreError::ProcessKeyMismatch {
                     purpose: c.purpose.to_string(),
                     found: c.process_key,
-                    expected,
+                    expected: *expected,
                 });
             }
         }
@@ -1082,23 +1028,28 @@ impl LiveAuditor {
         order.sort_by_key(|&i| std::cmp::Reverse(ckpt.cases[i].last_seen));
         let resident: std::collections::HashSet<usize> =
             order.iter().take(resident_cap).copied().collect();
-        for (i, c) in ckpt.cases.into_iter().enumerate() {
-            let case = c.case;
+        let mut interned: HashMap<(Symbol, u32), u32> = HashMap::new();
+        for (i, mut c) in ckpt.cases.into_iter().enumerate() {
+            let process = processes[&c.purpose].0.clone();
+            for id in &mut c.ids {
+                *id = *interned.entry((c.purpose, *id)).or_insert_with(|| {
+                    process
+                        .encoded
+                        .automaton
+                        .intern((*ckpt.states[*id as usize]).clone())
+                });
+            }
             monitor.high_water = Some(
                 monitor
                     .high_water
                     .map_or(c.last_seen, |h| h.max(c.last_seen)),
             );
             if resident.contains(&i) {
-                let live = monitor.admit(c)?;
-                monitor.cases.insert(case, live);
+                monitor.admit(process, c, None)?;
             } else {
-                // Restored-but-not-resident cases enter the spill store in
-                // the durable encoding; their first entry rehydrates them
-                // through the magic-dispatched path like any other blob.
                 monitor
                     .spill
-                    .insert(case, &encode_case(&c))
+                    .insert(c.case, &encode_churn(&c))
                     .map_err(|e| RestoreError::Codec(cows::SnapshotError::Io(e.to_string())))?;
             }
         }
@@ -1357,32 +1308,67 @@ mod tests {
 
     #[test]
     fn evicted_case_checkpoint_is_byte_identical_after_rehydration() {
-        let mut monitor = live();
+        // A monitor under eviction pressure and its unevicted twin write
+        // the same whole-monitor checkpoint after every entry — under
+        // either engine, and across engines: the durable form names
+        // configurations by term, not by run-local id.
         let trail = figure4_trail();
-        let case = sym("HT-1");
-        let entries = trail.project_case(case);
-        // Feed all but the last entry, snapshot, evict, rehydrate (by
-        // feeding the last entry), and compare against an unevicted twin.
-        let mut twin = live();
-        for e in &entries[..entries.len() - 1] {
-            monitor.observe(e).unwrap();
-            twin.observe(e).unwrap();
+        let monitor_with = |engine, max_open_cases| {
+            let mut a = auditor();
+            a.options.engine = engine;
+            LiveAuditor::with_config(
+                a,
+                LiveConfig {
+                    max_open_cases,
+                    ..LiveConfig::default()
+                },
+            )
+        };
+        let mut monitors = [
+            monitor_with(crate::replay::Engine::Trie, 2),
+            monitor_with(crate::replay::Engine::Direct, 2),
+            monitor_with(crate::replay::Engine::Trie, 1024),
+            monitor_with(crate::replay::Engine::Direct, 1024),
+        ];
+        for e in &trail {
+            let mut bytes = Vec::new();
+            for m in &mut monitors {
+                m.observe(e).unwrap();
+                bytes.push(m.checkpoint(7).unwrap());
+            }
+            assert!(bytes.iter().all(|b| *b == bytes[0]), "diverged at {e}");
         }
-        let before = monitor.checkpoint_case(case).unwrap();
-        assert_eq!(before, twin.checkpoint_case(case).unwrap());
-        monitor.evict(case).unwrap();
-        assert_eq!(monitor.open_cases(), 0);
-        assert_eq!(monitor.spilled_cases(), 1);
-        // Rehydration is transparent: the next entry re-admits the case…
-        monitor.observe(entries[entries.len() - 1]).unwrap();
-        twin.observe(entries[entries.len() - 1]).unwrap();
-        assert_eq!(monitor.stats().rehydrations, 1);
-        // …and the rebuilt session's checkpoint is byte-identical to the
-        // twin that never left memory.
-        assert_eq!(
-            monitor.checkpoint_case(case).unwrap(),
-            twin.checkpoint_case(case).unwrap()
-        );
+        for evicting in &monitors[..2] {
+            let stats = evicting.stats();
+            assert!(stats.evictions > 0 && stats.rehydrations > 0, "{stats:?}");
+            assert!(evicting.spilled_cases() > 0);
+        }
+        assert_eq!(monitors[2].stats().evictions, 0);
+    }
+
+    #[test]
+    fn checkpoint_restore_checkpoint_is_a_fixed_point() {
+        let config = LiveConfig {
+            max_open_cases: 2,
+            ..LiveConfig::default()
+        };
+        let mut monitor = LiveAuditor::with_config(auditor(), config.clone());
+        let trail = figure4_trail();
+        let entries = trail.entries();
+        for e in &entries[..entries.len() * 2 / 3] {
+            monitor.observe(e).unwrap();
+        }
+        let bytes = monitor.checkpoint(5).unwrap();
+        // Restored with spilled cases (cap 2) and all-resident: both write
+        // the checkpoint they were restored from.
+        for cap in [2, 1024] {
+            let config = LiveConfig {
+                max_open_cases: cap,
+                ..config.clone()
+            };
+            let (restored, offset) = LiveAuditor::restore(auditor(), config, &bytes).unwrap();
+            assert_eq!(restored.checkpoint(offset).unwrap(), bytes, "cap {cap}");
+        }
     }
 
     #[test]

@@ -174,33 +174,10 @@ pub(crate) fn compiled_step(
     Ok(step)
 }
 
-/// The portable state of an open session — what
-/// [`SessionCore::export_state`] extracts and [`SessionCore::from_state`]
-/// rebuilds. Configurations are owned [`Marked`] states in live-set order;
-/// the counters are Algorithm 1's bookkeeping, carried verbatim so a
-/// rehydrated session is indistinguishable from one that never left
-/// memory.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SessionState {
-    /// The live configuration set (Def. 6), in set order.
-    pub confs: Vec<Marked>,
-    /// Largest configuration-set size seen.
-    pub peak: usize,
-    /// Total successors explored (the `max_explored` budget's counter).
-    pub explored: usize,
-    /// Entries consumed so far.
-    pub consumed: usize,
-    /// Timestamp of the first fed entry (temporal-constraint anchor).
-    pub first_time: Option<Timestamp>,
-    /// Case label adopted from the first fed entry.
-    pub case_name: Option<String>,
-}
-
-/// The session's Algorithm-1 bookkeeping without the configuration set —
-/// the run-independent half of [`SessionState`]. The churn spill path
-/// pairs this with raw automaton [`StateId`]s (run-local) instead of
-/// owned [`Marked`] states, skipping the deep clone that makes
-/// [`SessionCore::export_state`] too expensive for eviction traffic.
+/// The session's Algorithm-1 bookkeeping without the configuration set.
+/// A case record ([`crate::churn`]) pairs it with the set as automaton
+/// [`StateId`]s ([`SessionCore::conf_ids`]); [`SessionCore::from_interned`]
+/// rebuilds the session from the two.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionMeta {
     /// Largest configuration-set size seen.
@@ -825,46 +802,26 @@ impl SessionCore {
         Ok(FeedOutcome::Accepted { matches })
     }
 
-    /// Extract the portable state of an *open* session: everything `feed`
-    /// mutates, with the configuration set as owned [`Marked`] states so
-    /// the result is engine- and run-independent (automaton ids are
-    /// run-local and never exported).
+    /// The live configuration set as ids of the process's shared
+    /// automaton, in set order. Direct-engine configurations are interned
+    /// into it here; compiled ones already live there. Ids are run-local.
+    pub fn conf_ids(&self, encoded: &Encoded) -> Vec<StateId> {
+        match &self.confs {
+            ConfSet::Direct(confs) => confs
+                .iter()
+                .map(|c| encoded.automaton.intern(c.state.clone()))
+                .collect(),
+            ConfSet::Compiled { ids, .. } => ids.to_vec(),
+        }
+    }
+
+    /// The session's counters, without cloning any configuration state.
     ///
     /// Closed sessions are not exportable — the live monitor retires them
     /// into compact records instead of checkpointing them — and trace or
     /// evidence accumulation (`record_trace` / `record_evidence`) does not
     /// survive a checkpoint: those buffers replay history, which eviction
     /// exists to shed.
-    pub fn export_state(&self) -> SessionState {
-        let meta = self.export_meta();
-        let confs = match &self.confs {
-            ConfSet::Direct(confs) => confs.iter().map(|c| c.state.clone()).collect(),
-            ConfSet::Compiled { auto, ids, .. } => {
-                ids.iter().map(|&id| (*auto.state(id)).clone()).collect()
-            }
-        };
-        SessionState {
-            confs,
-            peak: meta.peak,
-            explored: meta.explored,
-            consumed: meta.consumed,
-            first_time: meta.first_time,
-            case_name: meta.case_name,
-        }
-    }
-
-    /// The live configuration set as shared-automaton ids, or `None` under
-    /// the direct engine. Ids are run-local (see [`SessionMeta`]); with
-    /// [`SessionCore::export_meta`] they form the cheap churn checkpoint.
-    pub fn conf_ids(&self) -> Option<&[StateId]> {
-        match &self.confs {
-            ConfSet::Direct(_) => None,
-            ConfSet::Compiled { ids, .. } => Some(ids),
-        }
-    }
-
-    /// The bookkeeping half of [`SessionCore::export_state`], without
-    /// cloning any configuration state.
     pub fn export_meta(&self) -> SessionMeta {
         debug_assert!(
             self.infringement.is_none(),
@@ -879,87 +836,55 @@ impl SessionCore {
         }
     }
 
-    /// Rebuild a compiled-engine session from raw state ids — the cheap
-    /// rehydrate matching [`SessionCore::conf_ids`] / `export_meta`. The
-    /// rebuilt session walks the automaton uncached.
+    /// Rebuild a session from [`SessionCore::conf_ids`] and
+    /// [`SessionCore::export_meta`] — the rehydrate half of evict and of
+    /// checkpoint restore, for either engine. The rebuilt session walks
+    /// the automaton uncached.
     ///
-    /// The ids must come from the same run and the same shared automaton
-    /// (which only ever grows, so any id this process issued stays valid);
-    /// an out-of-range id is rejected as a checkpoint error rather than
-    /// trusted. Edges are already compiled for every id the live set ever
-    /// held — `successors_traced` is then a cache hit — so the
-    /// [`PRE_EXPANDED`] invariant is restored without exploration work,
-    /// and like [`SessionCore::from_state`] none of it counts toward
-    /// `explored`.
+    /// The ids must come from this run's shared automaton (which only ever
+    /// grows, so any id this process issued stays valid); an out-of-range
+    /// id is rejected as a checkpoint error rather than trusted. Under the
+    /// compiled engine `successors_traced` restores the [`PRE_EXPANDED`]
+    /// invariant: a cache hit for an id this run evicted, a compile for one
+    /// a restore just interned. Under the direct engine `weak_next` is
+    /// recomputed. Neither counts toward `explored`:
+    /// the exported counter already includes everything the original
+    /// session explored, so a rehydrated session and its unevicted twin
+    /// keep identical counters. The wall-clock `case_deadline_ms` budget is
+    /// re-armed here (wall time spent evicted is not replay work).
     pub fn from_interned(
         encoded: &Encoded,
         opts: CheckOptions,
         ids: Vec<StateId>,
         meta: SessionMeta,
     ) -> Result<SessionCore, CheckError> {
-        debug_assert!(matches!(opts.engine, Engine::Trie));
         let auto = encoded.automaton.clone();
         let known = auto.len() as u64;
-        for &id in &ids {
-            if u64::from(id) >= known {
-                return Err(CheckError::Checkpoint {
-                    detail: format!("churn checkpoint id {id} outside automaton ({known} states)"),
-                });
-            }
-            auto.successors_traced(id, &encoded.observability, opts.weaknext, &Recorder::noop())?;
+        if let Some(id) = ids.iter().find(|&&id| u64::from(id) >= known) {
+            return Err(CheckError::Checkpoint {
+                detail: format!("case record id {id} outside automaton ({known} states)"),
+            });
         }
-        let confs = ConfSet::compiled(auto, ids);
-        Ok(SessionCore::assemble(opts, confs, meta, Recorder::noop()))
-    }
-
-    /// Rebuild a session from an exported state — the rehydrate half of
-    /// checkpoint/evict/rehydrate.
-    ///
-    /// Configurations are re-admitted in export order. Under the compiled
-    /// engine each state is interned (a no-op when the shared automaton
-    /// already knows it) and rebuilt through [`SessionCore::from_interned`];
-    /// under the direct engine `weak_next` is recomputed. Neither counts
-    /// toward `explored` — the exported counter already includes everything
-    /// the original session explored, so a rehydrated session and its
-    /// unevicted twin keep identical counters. The wall-clock
-    /// `case_deadline_ms` budget is re-armed at rehydration (wall time
-    /// spent evicted is not replay work).
-    pub fn from_state(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        state: SessionState,
-    ) -> Result<SessionCore, CheckError> {
-        let meta = SessionMeta {
-            peak: state.peak,
-            explored: state.explored,
-            consumed: state.consumed,
-            first_time: state.first_time,
-            case_name: state.case_name,
-        };
-        match opts.engine {
+        let noop = Recorder::noop();
+        let confs = match opts.engine {
             Engine::Direct => {
-                let mut confs = Vec::with_capacity(state.confs.len());
-                for m in state.confs {
-                    let next = weak_next_traced(
-                        &m,
-                        &encoded.observability,
-                        opts.weaknext,
-                        &Recorder::noop(),
-                    )?;
-                    confs.push(Configuration { state: m, next });
+                let mut confs = Vec::with_capacity(ids.len());
+                for id in ids {
+                    let state = (*auto.state(id)).clone();
+                    let next =
+                        weak_next_traced(&state, &encoded.observability, opts.weaknext, &noop)?;
+                    confs.push(Configuration { state, next });
                 }
-                let confs = ConfSet::Direct(confs);
-                Ok(SessionCore::assemble(opts, confs, meta, Recorder::noop()))
+                ConfSet::Direct(confs)
             }
             Engine::Trie => {
-                let ids = state
-                    .confs
-                    .into_iter()
-                    .map(|m| encoded.automaton.intern(m))
-                    .collect();
-                SessionCore::from_interned(encoded, opts, ids, meta)
+                for &id in &ids {
+                    auto.successors_traced(id, &encoded.observability, opts.weaknext, &noop)?;
+                }
+                ConfSet::compiled(auto, ids)
             }
-        }
+        };
+        Ok(SessionCore::assemble(opts, confs, meta, noop))
     }
 
     /// Test hook: tighten the τ-budget of an open session after the fact,
@@ -1304,23 +1229,45 @@ mod tests {
 
             // Checkpoint mid-case, rebuild, and compare against the twin
             // that never left memory.
-            let state = twin.export_state();
-            let mut back = SessionCore::from_state(&encoded, opts, state.clone()).unwrap();
-            assert_eq!(back.export_state(), state, "export is a fixed point");
+            let (ids, meta) = (twin.conf_ids(&encoded), twin.export_meta());
+            let mut back =
+                SessionCore::from_interned(&encoded, opts, ids.clone(), meta.clone()).unwrap();
+            assert_eq!(back.conf_ids(&encoded), ids, "export is a fixed point");
+            assert_eq!(back.export_meta(), meta);
             let e = entry("T1", 2);
             let a = twin.feed(&encoded, &h, &e).unwrap();
             let b = back.feed(&encoded, &h, &e).unwrap();
             assert_eq!(a, b, "{engine:?}: outcomes diverged");
-            assert_eq!(back.export_state(), twin.export_state());
+            assert_eq!(back.conf_ids(&encoded), twin.conf_ids(&encoded));
+            assert_eq!(back.export_meta(), twin.export_meta());
             let (back, twin) = (
                 back.finish(&encoded).unwrap(),
                 twin.finish(&encoded).unwrap(),
             );
             assert_eq!(back.verdict, twin.verdict);
             assert_eq!(back.explored_successors, twin.explored_successors);
-            let got = (a, twin.verdict, twin.explored_successors, state);
+            // Ids are run-local; the oracle compares the terms behind them.
+            let states: Vec<_> = ids.iter().map(|&id| encoded.automaton.state(id)).collect();
+            let got = (a, twin.verdict, twin.explored_successors, states, meta);
             let want = oracle.get_or_insert_with(|| got.clone());
             assert_eq!(&got, want, "{engine:?} diverged from the direct oracle");
+        }
+    }
+
+    #[test]
+    fn out_of_range_ids_are_rejected_not_trusted() {
+        let encoded = encode(&fig8_exclusive());
+        let core =
+            SessionCore::new(&encoded, CheckOptions::default(), Recorder::noop(), None).unwrap();
+        let known = encoded.automaton.len() as StateId;
+        for engine in [Engine::Direct, Engine::Trie] {
+            let opts = CheckOptions {
+                engine,
+                ..CheckOptions::default()
+            };
+            let err = SessionCore::from_interned(&encoded, opts, vec![known], core.export_meta())
+                .unwrap_err();
+            assert!(matches!(err, CheckError::Checkpoint { .. }), "{err:?}");
         }
     }
 

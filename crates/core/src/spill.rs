@@ -34,13 +34,14 @@
 //! and the batch is requeued, so the in-memory index never references
 //! bytes that might not exist.
 //!
-//! The store is format-agnostic: blobs are opaque bytes, so the run-local
-//! `PCLE` churn envelope and the durable `PCLC` checkpoints (inserted by
-//! monitor restore) coexist; the reader dispatches on magic. The log is
-//! strictly run-scoped — created fresh, deleted on drop — and
-//! construction sweeps stale `*.pclc` per-case files and leftover logs
-//! that a previous run (or crash) left in the directory, counting a
-//! torn-tail truncation when a leftover log ends mid-record. (Cross-run
+//! Blobs are opaque bytes to the store; the monitor puts exactly one
+//! format in it, the run-local `PCLE` case record ([`crate::churn`]) —
+//! from eviction, and from monitor restore for cases it does not keep
+//! resident. The log is strictly run-scoped — created fresh, deleted on
+//! drop — and construction sweeps leftover logs and the legacy
+//! one-file-per-case `*.pclc` spill files that a previous run (or crash)
+//! left in the directory, counting a torn-tail truncation when a leftover
+//! log ends mid-record. (Cross-run
 //! blob *adoption* is deliberately impossible: records key on interner
 //! indices, which are process-local; durability across runs comes from
 //! monitor checkpoints, not the spill log.)

@@ -289,12 +289,16 @@ impl Encoder {
         self.put_u32(u32::try_from(n).expect("snapshot collection fits u32"));
     }
 
-    fn put_sym(&mut self, s: Symbol) {
+    fn sym_index(&mut self, s: Symbol) -> u32 {
         let next = self.table.len() as u32;
-        let id = *self.index.entry(s).or_insert_with(|| {
+        *self.index.entry(s).or_insert_with(|| {
             self.table.push(s);
             next
-        });
+        })
+    }
+
+    fn put_sym(&mut self, s: Symbol) {
+        let id = self.sym_index(s);
         self.put_u32(id);
     }
 
@@ -972,6 +976,19 @@ impl StateEncoder {
         self.0.put_sym(s);
     }
 
+    /// The table index of `s`, adding it to the table if new, without
+    /// writing anything to the body — for records that number symbols in
+    /// their own encoding.
+    pub fn sym_index(&mut self, s: Symbol) -> u32 {
+        self.0.sym_index(s)
+    }
+
+    /// A raw byte string, length-prefixed, inline in the body.
+    pub fn put_bytes(&mut self, b: &[u8]) {
+        self.0.put_len(b.len());
+        self.0.body.extend_from_slice(b);
+    }
+
     /// A free-form string, length-prefixed, inline in the body (not
     /// interned — use [`StateEncoder::put_sym`] for repeated identifiers).
     pub fn put_str(&mut self, s: &str) {
@@ -1043,6 +1060,20 @@ impl<'b> StateDecoder<'b> {
 
     pub fn get_sym(&mut self) -> Result<Symbol, SnapshotError> {
         self.0.get_sym()
+    }
+
+    /// The symbol at `index` of the payload's table, if there is one.
+    pub fn symbol(&self, index: u64) -> Option<Symbol> {
+        usize::try_from(index)
+            .ok()
+            .and_then(|i| self.0.table.get(i))
+            .copied()
+    }
+
+    /// A raw byte string written by [`StateEncoder::put_bytes`].
+    pub fn get_bytes(&mut self) -> Result<&'b [u8], SnapshotError> {
+        let len = self.0.get_len()?;
+        self.0.take(len)
     }
 
     pub fn get_str(&mut self) -> Result<String, SnapshotError> {

@@ -24,6 +24,7 @@ use purpose_control::{shard_of, LiveAuditor, LiveConfig, ShardedMonitor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
+use workload::hospital::{generate_day, HospitalConfig};
 
 const SEEDS: [u64; 4] = [7, 42, 1337, 2026];
 
@@ -284,6 +285,65 @@ fn checkpoint_restore_over_a_populated_spill_log_preserves_verdicts() {
         );
     }
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// A checkpoint names configurations by term, so restore renumbers them
+/// into the target run: an auditor whose automata were first warmed on a
+/// different trail — the same configuration has a different `StateId`
+/// there — resumes to exactly the batch verdicts.
+#[test]
+fn restore_into_a_differently_warmed_automaton_keeps_batch_verdicts() {
+    let trail = figure4_trail();
+    let batch = batch_labels(&hospital_auditor(), &trail);
+    let config = LiveConfig {
+        max_open_cases: 2,
+        ..LiveConfig::default()
+    };
+    let automaton = |a: &Auditor| {
+        a.registry
+            .process_for(treatment())
+            .unwrap()
+            .encoded
+            .automaton
+            .clone()
+    };
+    for seed in SEEDS {
+        let order = chaos_interleave(&trail, seed);
+        let half = order.len() / 2;
+        let writer = hospital_auditor();
+        let mut first = LiveAuditor::with_config(writer.clone(), config.clone());
+        for e in &order[..half] {
+            first.observe(e).unwrap();
+        }
+        let blob = first.checkpoint(half as u64).unwrap();
+
+        let target = hospital_auditor();
+        let day = generate_day(
+            &HospitalConfig {
+                target_entries: 400,
+                ..HospitalConfig::default()
+            },
+            seed,
+        );
+        target.audit(&day.trail);
+        let (from, to) = (automaton(&writer), automaton(&target));
+        assert!(
+            (0..from.len() as u32).any(|id| to.intern((*from.state(id)).clone()) != id),
+            "[seed {seed}] the warm-up must renumber the writer's states"
+        );
+
+        let (mut resumed, offset) = LiveAuditor::restore(target, config.clone(), &blob).unwrap();
+        assert_eq!(offset, half as u64);
+        for e in &order[half..] {
+            resumed.observe(e).unwrap();
+        }
+        let live: BTreeMap<Symbol, String> = trail
+            .cases()
+            .into_iter()
+            .map(|c| (c, live_label(&resumed, c)))
+            .collect();
+        assert_eq!(batch, live, "[seed {seed}] restored monitor drifted");
+    }
 }
 
 #[test]

@@ -333,3 +333,89 @@ fn trie_bound_to_another_hierarchy_is_refused() {
         purpose_control::CheckError::EngineConfig { .. }
     ));
 }
+
+/// A process where a running task can start again: the rework loop
+/// `A → (A | B)`. A second `A` entry is absorbed by the running instance
+/// and nothing else; a step that also restarted the running task would
+/// track an extra configuration. Every path must match the direct
+/// oracle's step records, peak and exploration count, and the verdicts
+/// must be the expected ones.
+#[test]
+fn rework_loop_with_a_running_task_replays_identically() {
+    let model = bpmn::parse::parse_process(
+        "process rework\n\
+         pool P\n  start S\n  xor J\n  task A\n  xor X\n  task B\n  end E\n\
+         flows\n  S -> J -> A -> X\n  X -> J\n  X -> B -> E\n",
+    )
+    .unwrap();
+    let encoded = encode(&model);
+    let h = RoleHierarchy::new();
+    let entry = |task: &str, minute: u64| {
+        LogEntry::success(
+            "u",
+            "P",
+            policy::statement::Action::Read,
+            None,
+            task,
+            "R-1",
+            audit::time::Timestamp(minute),
+        )
+    };
+    let trails: [(&[&str], bool); 4] = [
+        (&["A", "A", "A", "B"], true),
+        (&["A", "A", "B", "A"], false),
+        (&["A", "B", "B"], true),
+        (&["B"], false),
+    ];
+    for (tasks, compliant) in trails {
+        let entries: Vec<LogEntry> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, t)| entry(t, i as u64))
+            .collect();
+        let refs: Vec<&LogEntry> = entries.iter().collect();
+        let opts = |engine| CheckOptions {
+            engine,
+            record_trace: true,
+            ..CheckOptions::default()
+        };
+        let fingerprint = |c: purpose_control::replay::CaseCheck| {
+            let steps: Vec<_> = c
+                .steps
+                .iter()
+                .map(|s| (s.matches.clone(), s.configurations))
+                .collect();
+            (
+                c.verdict.is_compliant(),
+                c.peak_configurations,
+                c.explored_successors,
+                steps,
+            )
+        };
+        let oracle = fingerprint(check_case(&encoded, &h, &refs, &opts(Engine::Direct)).unwrap());
+        assert_eq!(oracle.0, compliant, "{tasks:?}");
+        let uncached = check_case(&encoded, &h, &refs, &opts(Engine::Trie)).unwrap();
+        assert_eq!(
+            oracle,
+            fingerprint(uncached),
+            "uncached diverged on {tasks:?}"
+        );
+        let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
+        for round in ["cold", "warm"] {
+            let shared = check_case_with(
+                &encoded,
+                &h,
+                &refs,
+                &opts(Engine::Trie),
+                &obs::Recorder::noop(),
+                Some(&trie),
+            )
+            .unwrap();
+            assert_eq!(
+                oracle,
+                fingerprint(shared),
+                "{round} trie diverged on {tasks:?}"
+            );
+        }
+    }
+}
