@@ -273,13 +273,13 @@ mod tests {
 
     #[test]
     fn reordering_localized_to_first_swapped_position() {
-        let (orig, mut c) = committed();
+        let (orig, _) = committed();
         // Same-timestamp entries so reordering survives the chronological
         // sort (cross-timestamp swaps are undone by it).
         let x = entry("X", 5);
         let y = entry("Y", 5);
         let orig2 = vec![orig[0].clone(), orig[1].clone(), x.clone(), y.clone()];
-        c = ChainedTrail::commit(AuditTrail::from_entries(orig2.clone()));
+        let mut c = ChainedTrail::commit(AuditTrail::from_entries(orig2.clone()));
         *c.tamper() =
             AuditTrail::from_entries(vec![orig[0].clone(), orig[1].clone(), y.clone(), x.clone()]);
         assert_localized(&c, &orig2, 2);

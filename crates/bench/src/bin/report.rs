@@ -1,12 +1,18 @@
 //! Regenerate every experiment series of `EXPERIMENTS.md` in one run.
 //!
-//! Criterion gives rigorous timings; this binary gives the *tables* — the
-//! rows and series a reader compares against the paper's claims. Timings
-//! here are medians of a few repetitions, good to ~10%.
+//! Prints the F4 summary and the P1–P17 tables, and writes the P8–P17
+//! records to `BENCH_replay.json`, each stamped with the run's mode, the
+//! host's available parallelism and the commit. Timings are medians or
+//! minimums of a few repetitions; the overhead sections (P10, P11, P16)
+//! also give each arm's min–max band, so an overhead can be read against
+//! the noise of the arms it compares.
 //!
 //! ```text
-//! cargo run --release -p bench --bin report [--quick]
+//! cargo run --release -p bench --bin report -- [--quick] [--gate]
+//! cargo run --release -p bench --bin report -- --only-p13   # … --only-p17
 //! ```
+//!
+//! `--only-pN` reruns one of P13–P17 and replaces its record in place.
 
 use audit::samples::figure4_trail;
 use bench::{
@@ -15,13 +21,16 @@ use bench::{
 };
 use bpmn::encode::encode;
 use bpmn::models::healthcare_treatment;
+use cows::lts::{explore, ExploreLimits};
+use cows::semantics::{transitions_shared, transitions_uncached};
 use cows::sym;
+use cows::symbol::Symbol;
 use cows::weaknext::{weak_next, WeakNextLimits};
 use petri::conformance::{task_log, token_replay, ReplayOptions};
 use petri::translate::translate;
 use policy::hierarchy::RoleHierarchy;
 use policy::samples::hospital_roles;
-use purpose_control::auditor::CaseOutcome;
+use purpose_control::auditor::{AuditReport, Auditor, CaseOutcome};
 use purpose_control::naive::{naive_check, NaiveLimits};
 use purpose_control::parallel::audit_parallel;
 use purpose_control::replay::{
@@ -31,6 +40,8 @@ use purpose_control::{LiveConfig, ReplayTrie, ShardedMonitor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serve::{client, ServeConfig, Server, TenantSpec};
+use std::cell::{Cell, OnceCell};
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workload::attacks;
@@ -47,6 +58,82 @@ fn median_time<F: FnMut()>(mut f: F, reps: usize) -> Duration {
         .collect();
     times.sort();
     times[times.len() / 2]
+}
+
+/// Wall seconds of one call of `f`.
+fn secs(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
+/// The fastest and slowest wall seconds one arm of an overhead
+/// measurement took across its rounds.
+#[derive(Clone, Copy)]
+struct Band {
+    min: f64,
+    max: f64,
+}
+
+impl Band {
+    /// How much slower this arm's minimum is than `base`'s, in percent.
+    fn over(&self, base: &Band) -> f64 {
+        (self.min / base.min - 1.0) * 100.0
+    }
+
+    /// How far this arm's slowest round lies above its fastest, in percent:
+    /// the noise an overhead against this arm has to exceed.
+    fn spread(&self) -> f64 {
+        (self.max / self.min - 1.0) * 100.0
+    }
+
+    fn show(&self) -> String {
+        format!(
+            "{} (+{:.0}%)",
+            fmt_dur(Duration::from_secs_f64(self.min)),
+            self.spread()
+        )
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "\"seconds\": {:.6}, \"max_seconds\": {:.6}, \"spread_pct\": {:.2}",
+            self.min,
+            self.max,
+            self.spread()
+        )
+    }
+}
+
+/// The overhead estimator of P10, P11 and P16. Each arm runs once untimed
+/// (expanding automata, warming allocators), then `rounds` rounds visit
+/// every arm in rotated order; each call returns the seconds of the work it
+/// times. Timing arms in sequential blocks would confound machine-load
+/// bursts with arms. Each arm reports its minimum, because outside noise
+/// only ever adds time, and its maximum, so that an overhead smaller than
+/// the arms' own spread reads as noise rather than as a cost or a saving.
+fn interleaved<const N: usize>(mut arms: [&mut dyn FnMut() -> f64; N], rounds: usize) -> [Band; N] {
+    for arm in arms.iter_mut() {
+        arm();
+    }
+    let mut bands = [Band {
+        min: f64::MAX,
+        max: 0.0,
+    }; N];
+    for round in 0..rounds {
+        for slot in 0..N {
+            let arm = (round + slot) % N;
+            let s = arms[arm]();
+            bands[arm].min = bands[arm].min.min(s);
+            bands[arm].max = bands[arm].max.max(s);
+        }
+    }
+    bands
+}
+
+/// The host's available parallelism.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn fmt_dur(d: Duration) -> String {
@@ -204,9 +291,7 @@ fn p4_hospital_day(quick: bool) {
         },
         42,
     );
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let threads = nproc();
     let t0 = Instant::now();
     let report = audit_parallel(&auditor, &day.trail, threads);
     let took = t0.elapsed();
@@ -415,9 +500,37 @@ fn p8_engine_ablation(quick: bool) -> String {
         cache.hits as f64 / cache_total.max(1) as f64,
         cache.evictions
     );
-    // Machine-readable summary for the acceptance gate (hand-rolled JSON —
-    // the workspace deliberately has no serde_json). Returned as a fragment;
-    // `main` assembles BENCH_replay.json from every section that has one.
+
+    // A1: the memoized step function against recomputing every call, over
+    // the first 64 states `explore` reaches in the Fig. 1 process.
+    let lts = explore(&encoded.service, ExploreLimits::default()).expect("finite LTS");
+    let states: Vec<_> = (0..lts.state_count().min(64))
+        .map(|i| lts.state(i).clone())
+        .collect();
+    let memoized = median_time(
+        || {
+            states
+                .iter()
+                .for_each(|s| drop(black_box(transitions_shared(s))))
+        },
+        5,
+    );
+    let uncached = median_time(
+        || {
+            states
+                .iter()
+                .for_each(|s| drop(black_box(transitions_uncached(s))))
+        },
+        5,
+    );
+    let memo_speedup = uncached.as_secs_f64() / memoized.as_secs_f64();
+    println!(
+        "step function over {} states: memoized {} | uncached {} | {memo_speedup:.1}x",
+        states.len(),
+        fmt_dur(memoized),
+        fmt_dur(uncached),
+    );
+    // Hand-rolled JSON: the workspace deliberately has no serde_json.
     let json = format!(
         "{{\n  \
            \"benchmark\": \"replay_engine_ablation\",\n  \
@@ -429,7 +542,9 @@ fn p8_engine_ablation(quick: bool) -> String {
              \"edge_misses\": {}, \"edge_hit_rate\": {:.4} }},\n  \
            \"speedup\": {:.2},\n  \
            \"transitions_cache\": {{ \"hits\": {}, \"misses\": {}, \
-             \"evictions\": {}, \"entries\": {}, \"hit_rate\": {:.4} }}\n}}\n",
+             \"evictions\": {}, \"entries\": {}, \"hit_rate\": {:.4} }},\n  \
+           \"step_memo\": {{ \"states\": {}, \"memoized_seconds\": {:.6}, \
+             \"uncached_seconds\": {:.6}, \"speedup\": {memo_speedup:.2} }}\n}}",
         td.as_secs_f64(),
         cps_d,
         ta.as_secs_f64(),
@@ -445,6 +560,9 @@ fn p8_engine_ablation(quick: bool) -> String {
         cache.evictions,
         cache.entries,
         cache.hits as f64 / cache_total.max(1) as f64,
+        states.len(),
+        memoized.as_secs_f64(),
+        uncached.as_secs_f64(),
     );
     println!();
     json
@@ -599,44 +717,36 @@ fn p10_degraded_mode(quick: bool) -> String {
     };
     let auditor = hospital_auditor();
     let threads = 4;
+    let rounds = if quick { 3 } else { 12 };
 
     // Overhead on a *clean* trail at the paper's §1 scale (20,000 record
     // opens/day): ingestion alone, then the full parse-and-audit pipeline
     // an operator actually pays for.
     let big = hospital(if quick { 2_000 } else { 20_000 }, 424242);
     let big_text = format_trail(&big);
-    let reps = 3;
-    let parse_strict = median_time(
-        || {
-            parse_trail(&big_text).expect("clean text parses");
-        },
-        reps,
+    let [parse_strict, parse_salvage, strict, salvage] = interleaved(
+        [
+            &mut || secs(|| drop(parse_trail(&big_text).expect("clean text parses"))),
+            &mut || secs(|| drop(parse_trail_salvage(&big_text))),
+            &mut || {
+                secs(|| {
+                    let t = parse_trail(&big_text).expect("clean text parses");
+                    audit_parallel(&auditor, &t, threads);
+                })
+            },
+            &mut || {
+                secs(|| {
+                    let (t, q) = parse_trail_salvage(&big_text);
+                    assert!(q.is_clean(), "clean workload must not quarantine");
+                    audit_parallel(&auditor, &t, threads);
+                })
+            },
+        ],
+        rounds,
     );
-    let parse_salvage = median_time(
-        || {
-            let _ = parse_trail_salvage(&big_text);
-        },
-        reps,
-    );
-    let strict = median_time(
-        || {
-            let t = parse_trail(&big_text).expect("clean text parses");
-            audit_parallel(&auditor, &t, threads);
-        },
-        reps,
-    );
-    let salvage = median_time(
-        || {
-            let (t, q) = parse_trail_salvage(&big_text);
-            assert!(q.is_clean(), "clean workload must not quarantine");
-            audit_parallel(&auditor, &t, threads);
-        },
-        reps,
-    );
-    let pct = |s: Duration, v: Duration| (v.as_secs_f64() / s.as_secs_f64() - 1.0) * 100.0;
-    let overhead = pct(strict, salvage);
+    let overhead = salvage.over(&strict);
     println!(
-        "{:>14} | {:>10} | {:>10} | {:>9}   ({} entries, {} cases)",
+        "{:>14} | {:>16} | {:>16} | {:>9}   ({} entries, {} cases, min (+spread) of {rounds} rounds)",
         "stage (clean)",
         "strict",
         "salvage",
@@ -645,17 +755,17 @@ fn p10_degraded_mode(quick: bool) -> String {
         big.cases().len()
     );
     println!(
-        "{:>14} | {:>10} | {:>10} | {:>8.1}%",
+        "{:>14} | {:>16} | {:>16} | {:>8.1}%",
         "parse only",
-        fmt_dur(parse_strict),
-        fmt_dur(parse_salvage),
-        pct(parse_strict, parse_salvage)
+        parse_strict.show(),
+        parse_salvage.show(),
+        parse_salvage.over(&parse_strict)
     );
     println!(
-        "{:>14} | {:>10} | {:>10} | {:>8.1}%",
+        "{:>14} | {:>16} | {:>16} | {:>8.1}%",
         "parse + audit",
-        fmt_dur(strict),
-        fmt_dur(salvage),
+        strict.show(),
+        salvage.show(),
         overhead
     );
     let overhead_entries = big.len();
@@ -763,18 +873,19 @@ fn p10_degraded_mode(quick: bool) -> String {
            \"entries\": {},\n  \
            \"cases\": {},\n  \
            \"overhead_entries\": {overhead_entries},\n  \
-           \"parse\": {{ \"strict_seconds\": {:.6}, \"salvage_seconds\": {:.6} }},\n  \
-           \"pipeline\": {{ \"strict_seconds\": {:.6}, \"salvage_seconds\": {:.6}, \
+           \"rounds\": {rounds},\n  \
+           \"parse\": {{ \"strict\": {{ {} }}, \"salvage\": {{ {} }} }},\n  \
+           \"pipeline\": {{ \"strict\": {{ {} }}, \"salvage\": {{ {} }}, \
              \"overhead_pct\": {:.2} }},\n  \
            \"injectors\": [\n{}\n  ],\n  \
            \"chain_tamper\": {{ \"prefix\": {}, \"quarantined\": {}, \
              \"unaffected_cases\": {}, \"stable_cases\": {} }}\n}}",
         trail.len(),
         trail.cases().len(),
-        parse_strict.as_secs_f64(),
-        parse_salvage.as_secs_f64(),
-        strict.as_secs_f64(),
-        salvage.as_secs_f64(),
+        parse_strict.json(),
+        parse_salvage.json(),
+        strict.json(),
+        salvage.json(),
         overhead,
         inj_json.join(",\n"),
         prefix_trail.len(),
@@ -785,8 +896,6 @@ fn p10_degraded_mode(quick: bool) -> String {
 }
 
 fn p11_observability(quick: bool) -> String {
-    use std::sync::Arc;
-
     println!("## P11 — instrumentation overhead (noop recorder vs tracing)");
     let entries = if quick { 2_000 } else { 20_000 };
     let day = generate_day(
@@ -830,35 +939,19 @@ fn p11_observability(quick: bool) -> String {
     verbose_auditor.recorder = obs::Recorder::new();
     let drain = verbose_auditor.recorder.clone();
 
-    // Timing sequential per-configuration blocks confounds machine-load
-    // bursts with configurations, so instead: one untimed warm-up pass per
-    // configuration (expands each auditor's automaton), then interleaved
-    // rounds visiting the four configurations in rotated order, keeping
-    // each configuration's *minimum* — external noise only ever adds time,
-    // so the minimum over interleaved rounds is the cleanest estimate of
-    // the true cost.
-    let auditors = [
-        &noop_auditor,
-        &metrics_auditor,
-        &tracing_auditor,
-        &verbose_auditor,
-    ];
-    let mut times: [Vec<Duration>; 4] = Default::default();
-    for auditor in auditors {
-        audit_parallel(auditor, &day.trail, threads);
-    }
-    for round in 0..rounds {
-        for slot in 0..auditors.len() {
-            let c = (round + slot) % auditors.len();
-            drain.drain();
-            let start = Instant::now();
-            let report = audit_parallel(auditors[c], &day.trail, threads);
-            times[c].push(start.elapsed());
-            drop(report);
-        }
-    }
-    let best = |c: usize| *times[c].iter().min().expect("at least one round");
-    let (noop, metrics, tracing, verbose) = (best(0), best(1), best(2), best(3));
+    let audit = |auditor: &Auditor| {
+        drain.drain();
+        secs(|| drop(audit_parallel(auditor, &day.trail, threads)))
+    };
+    let [noop, metrics, tracing, verbose] = interleaved(
+        [
+            &mut || audit(&noop_auditor),
+            &mut || audit(&metrics_auditor),
+            &mut || audit(&tracing_auditor),
+            &mut || audit(&verbose_auditor),
+        ],
+        rounds,
+    );
 
     let report = audit_parallel(&tracing_auditor, &day.trail, threads);
     let serialize_start = Instant::now();
@@ -880,37 +973,39 @@ fn p11_observability(quick: bool) -> String {
     let events = verbose_auditor.recorder.drain().len();
     let dropped = verbose_auditor.recorder.dropped() - dropped_before;
 
-    let pct = |base: Duration, v: Duration| (v.as_secs_f64() / base.as_secs_f64() - 1.0) * 100.0;
-    let metrics_pct = pct(noop, metrics);
-    let tracing_pct = pct(noop, tracing);
-    let verbose_pct = pct(noop, verbose);
+    let (metrics_pct, tracing_pct, verbose_pct) = (
+        metrics.over(&noop),
+        tracing.over(&noop),
+        verbose.over(&noop),
+    );
     println!(
-        "{:>14} | {:>10} | {:>9}   ({} entries, {} cases, {threads} threads)",
+        "{:>14} | {:>16} | {:>9}   ({} entries, {} cases, {threads} threads, \
+         min (+spread) of {rounds} rounds)",
         "configuration",
         "wall",
         "overhead",
         day.trail.len(),
         day.truth.len()
     );
-    println!("{:>14} | {:>10} | {:>9}", "noop", fmt_dur(noop), "—");
+    println!("{:>14} | {:>16} | {:>9}", "noop", noop.show(), "—");
     println!(
-        "{:>14} | {:>10} | {:>8.1}%",
+        "{:>14} | {:>16} | {:>8.1}%",
         "metrics",
-        fmt_dur(metrics),
+        metrics.show(),
         metrics_pct
     );
     println!(
-        "{:>14} | {:>10} | {:>8.1}%   (+ {} off-path serialize, {} KiB JSONL)",
+        "{:>14} | {:>16} | {:>8.1}%   (+ {} off-path serialize, {} KiB JSONL)",
         "tracing",
-        fmt_dur(tracing),
+        tracing.show(),
         tracing_pct,
         fmt_dur(serialize),
         jsonl_bytes / 1024,
     );
     println!(
-        "{:>14} | {:>10} | {:>8.1}%   ({events} events buffered, {dropped} dropped)",
+        "{:>14} | {:>16} | {:>8.1}%   ({events} events buffered, {dropped} dropped)",
         "verbose events",
-        fmt_dur(verbose),
+        verbose.show(),
         verbose_pct
     );
     println!();
@@ -922,275 +1017,200 @@ fn p11_observability(quick: bool) -> String {
            \"entries\": {},\n  \
            \"cases\": {},\n  \
            \"threads\": {threads},\n  \
-           \"noop\": {{ \"seconds\": {:.6} }},\n  \
-           \"metrics\": {{ \"seconds\": {:.6}, \"overhead_pct\": {metrics_pct:.2} }},\n  \
-           \"tracing\": {{ \"seconds\": {:.6}, \"overhead_pct\": {tracing_pct:.2}, \
+           \"rounds\": {rounds},\n  \
+           \"noop\": {{ {} }},\n  \
+           \"metrics\": {{ {}, \"overhead_pct\": {metrics_pct:.2} }},\n  \
+           \"tracing\": {{ {}, \"overhead_pct\": {tracing_pct:.2}, \
              \"serialize_seconds\": {:.6}, \"jsonl_bytes\": {jsonl_bytes} }},\n  \
-           \"verbose_events\": {{ \"seconds\": {:.6}, \"overhead_pct\": {verbose_pct:.2}, \
+           \"verbose_events\": {{ {}, \"overhead_pct\": {verbose_pct:.2}, \
              \"events_buffered\": {events}, \"events_dropped\": {dropped} }}\n}}",
         day.trail.len(),
         day.truth.len(),
-        noop.as_secs_f64(),
-        metrics.as_secs_f64(),
-        tracing.as_secs_f64(),
+        noop.json(),
+        metrics.json(),
+        tracing.json(),
         serialize.as_secs_f64(),
-        verbose.as_secs_f64(),
+        verbose.json(),
     )
 }
 
-fn p12_streaming(quick: bool) -> String {
-    use workload::stream::{case_count, interleave, peak_concurrency};
+/// Shards of every live monitor P13 and P15 run.
+const SHARDS: usize = 4;
+/// Tenants the served sections split the day across.
+const TENANTS: [&str; 3] = ["north", "south", "east"];
+/// Entry lines per ingest POST.
+const POST_LINES: usize = 2_000;
 
-    println!("## P12 — streaming monitor vs batch (bounded memory, checkpoint/resume)");
-    let entries = if quick { 20_000 } else { 120_000 };
-    let day = generate_day(
-        &HospitalConfig {
-            target_entries: entries,
-            ..HospitalConfig::default()
-        },
-        42,
-    );
-    // Arrival order, not case blocks: the workload the batch auditor never
-    // sees but the live monitor is defined by.
-    let stream = interleave(&day.trail);
-    let cases = case_count(&stream);
-    let peak = peak_concurrency(&stream);
+/// The interleaved hospital day P13–P16 share, built once per run: the day
+/// in arrival order, its peak concurrency, the resident cap the live
+/// sections evict under, its split across tenants, and one batch audit —
+/// verdicts and wall — that every live and served arm is compared with.
+struct SharedDay {
+    stream: Vec<audit::LogEntry>,
+    cases: usize,
+    peak: usize,
+    /// Resident cap per shard, 8× under peak concurrency, so eviction and
+    /// rehydration are the steady state rather than the exception.
+    max_open: usize,
+    per_tenant: Vec<Vec<String>>,
+    batch: AuditReport,
+    batch_secs: f64,
+}
 
-    // Batch baseline: the §7 parallel audit over the finished trail.
-    let auditor = hospital_auditor();
-    let start = Instant::now();
-    let batch = audit_parallel(&auditor, &day.trail, 4);
-    let batch_time = start.elapsed();
+impl SharedDay {
+    fn new(quick: bool) -> SharedDay {
+        use workload::stream::{case_count, interleave, peak_concurrency};
 
-    // Live: sharded monitor with the resident set capped far below peak
-    // concurrency, so the memory bound is under constant pressure.
-    let shards = 4;
-    let max_open = (peak / 8).max(2);
-    let config = LiveConfig {
-        max_open_cases: max_open,
-        ..LiveConfig::default()
-    };
-    let mut live = ShardedMonitor::new(hospital_auditor(), &config, shards);
-    let start = Instant::now();
-    live.ingest(&stream).expect("live replay failed");
-    let live_time = start.elapsed();
-    let stats = live.stats();
-    assert!(stats.evictions > 0, "the memory bound must actually bite");
-
-    // Verdict equivalence: every case the batch auditor judged must get
-    // the same verdict out of the evicting monitor.
-    let mut mismatches = 0usize;
-    for c in &batch.cases {
-        let live_label = match live.snapshot(c.case) {
-            None => "unresolved".to_string(),
-            Some(Err(e)) => format!("failed: {e}"),
-            Some(Ok(check)) => match check.verdict {
-                Verdict::Compliant { can_complete } => format!("compliant/{can_complete}"),
-                Verdict::Infringement(inf) => format!("infringement@{}", inf.entry_index),
+        let day = generate_day(
+            &HospitalConfig {
+                target_entries: if quick { 20_000 } else { 120_000 },
+                ..HospitalConfig::default()
             },
-        };
-        let batch_label = match &c.outcome {
-            CaseOutcome::Compliant { can_complete } => format!("compliant/{can_complete}"),
-            CaseOutcome::Infringement { infringement, .. } => {
-                format!("infringement@{}", infringement.entry_index)
-            }
-            CaseOutcome::Unresolved(_) => "unresolved".to_string(),
-            other => format!("{other:?}"),
-        };
-        if live_label != batch_label {
-            mismatches += 1;
-            if mismatches <= 5 {
-                println!(
-                    "  MISMATCH {}: batch {batch_label} vs live {live_label}",
-                    c.case
-                );
-            }
+            42,
+        );
+        // Arrival order, not case blocks: the workload the batch auditor
+        // never sees but the live monitor is defined by.
+        let stream = interleave(&day.trail);
+        let peak = peak_concurrency(&stream);
+        // Split arrival order across tenants with the shared routing helper
+        // — the split the e2e harness uses, so each case lands whole on
+        // exactly one tenant and per-tenant identity is well-defined.
+        let mut per_tenant = vec![Vec::new(); TENANTS.len()];
+        for e in &stream {
+            per_tenant[tenant_of(e.case)].push(e.to_string());
+        }
+        // Batch baseline: the §7 parallel audit over the finished trail.
+        let start = Instant::now();
+        let batch = audit_parallel(&hospital_auditor(), &day.trail, 4);
+        let batch_secs = start.elapsed().as_secs_f64();
+        SharedDay {
+            cases: case_count(&stream),
+            max_open: (peak / 8).max(2),
+            stream,
+            peak,
+            per_tenant,
+            batch,
+            batch_secs,
         }
     }
-    let verdicts_match = mismatches == 0;
 
-    // Checkpoint/restart/resume: stop mid-stream, serialize, rebuild, feed
-    // the rest — the restarted monitor must raise exactly the alarms of
-    // the uninterrupted run.
-    let mid = stream.len() / 2;
-    let mut first_half = ShardedMonitor::new(hospital_auditor(), &config, shards);
-    first_half
-        .ingest(&stream[..mid])
-        .expect("first half failed");
-    let pre_stats = first_half.stats();
-    let ckpt = first_half
-        .checkpoint(mid as u64)
-        .expect("checkpoint failed");
-    let ckpt_bytes = ckpt.len();
-    let (mut resumed, offset) = ShardedMonitor::restore(hospital_auditor(), &config, shards, &ckpt)
-        .expect("restore failed");
-    assert_eq!(offset, mid as u64, "resume offset must round-trip");
-    resumed.ingest(&stream[mid..]).expect("second half failed");
-    let straight_alarms: Vec<_> = live.alarms().iter().map(|(c, _)| *c).collect();
-    let resumed_alarms: Vec<_> = resumed.alarms().iter().map(|(c, _)| *c).collect();
-    let alarms_match = straight_alarms == resumed_alarms;
-    assert!(alarms_match, "resume changed the alarm set");
-    let evictions_total = pre_stats.evictions + resumed.stats().evictions;
-
-    println!(
-        "{} entries, {cases} cases (peak {peak} concurrent), {shards} shards x {max_open} resident",
-        stream.len()
-    );
-    println!(
-        "batch {} | live {} | {} alarms, {} evictions, {} rehydrations, {} KiB spilled",
-        fmt_dur(batch_time),
-        fmt_dur(live_time),
-        stats.alarms,
-        stats.evictions,
-        stats.rehydrations,
-        stats.spilled_bytes / 1024
-    );
-    println!(
-        "verdicts match batch: {verdicts_match} ({mismatches} mismatches) | \
-         checkpoint {ckpt_bytes} B at entry {mid}, resume alarms match: {alarms_match}"
-    );
-    println!();
-
-    format!(
-        "{{\n  \
-           \"benchmark\": \"streaming_monitor\",\n  \
-           \"workload\": \"hospital_day_interleaved\",\n  \
-           \"entries\": {},\n  \
-           \"cases\": {cases},\n  \
-           \"peak_concurrency\": {peak},\n  \
-           \"shards\": {shards},\n  \
-           \"max_open_cases\": {max_open},\n  \
-           \"batch\": {{ \"seconds\": {:.6}, \"infringing_cases\": {} }},\n  \
-           \"live\": {{ \"seconds\": {:.6}, \"alarms\": {}, \"evictions\": {}, \
-             \"rehydrations\": {}, \"retired\": {}, \"spilled_bytes\": {} }},\n  \
-           \"checkpoint\": {{ \"bytes\": {ckpt_bytes}, \"at_entry\": {mid}, \
-             \"resume_offset_ok\": true, \"alarms_match_uninterrupted\": {alarms_match}, \
-             \"evictions_across_restart\": {evictions_total} }},\n  \
-           \"verdicts_match_batch\": {verdicts_match}\n}}",
-        stream.len(),
-        batch_time.as_secs_f64(),
-        batch.infringing_cases(),
-        live_time.as_secs_f64(),
-        stats.alarms,
-        stats.evictions,
-        stats.rehydrations,
-        stats.retired,
-        stats.spilled_bytes,
-    )
+    /// Compare every batch verdict with `label(case)` of the `arm` under
+    /// test, printing the first few mismatches; returns how many differ.
+    fn mismatches(&self, arm: &str, label: impl Fn(Symbol) -> String) -> usize {
+        let mut n = 0;
+        for c in &self.batch.cases {
+            let (want, got) = (batch_label(&c.outcome), label(c.case));
+            if want != got {
+                n += 1;
+                if n <= 5 {
+                    println!("  MISMATCH {}: batch {want} vs {arm} {got}", c.case);
+                }
+            }
+        }
+        n
+    }
 }
 
-fn p13_churn(quick: bool) -> String {
+fn tenant_of(case: Symbol) -> usize {
+    audit::partition_of(audit::case_key(case.as_str()), TENANTS.len())
+}
+
+/// A batch outcome's label, in the format of `serve::verdict_label`: the
+/// live and served arms must reproduce it byte for byte.
+fn batch_label(outcome: &CaseOutcome) -> String {
+    match outcome {
+        CaseOutcome::Compliant { can_complete } => format!("compliant complete={can_complete}"),
+        CaseOutcome::Infringement {
+            infringement,
+            severity,
+        } => format!(
+            "infringement@{} severity={:.4}",
+            infringement.entry_index, severity.score
+        ),
+        CaseOutcome::Unresolved(_) => "unresolved".to_string(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// A replay check's label in the same format; `severity` is the score of
+/// the alarmed case (checks that carry none label with 0).
+fn check_label(verdict: &Verdict, severity: f64) -> String {
+    match verdict {
+        Verdict::Compliant { can_complete } => format!("compliant complete={can_complete}"),
+        Verdict::Infringement(inf) => {
+            format!("infringement@{} severity={severity:.4}", inf.entry_index)
+        }
+    }
+}
+
+/// One live run of the shared day under `config`: a fresh monitor, timed
+/// over the whole ingest.
+fn live_run(day: &SharedDay, config: &LiveConfig) -> (ShardedMonitor, f64) {
+    let mut live = ShardedMonitor::new(hospital_auditor(), config, SHARDS);
+    let took = secs(|| drop(live.ingest(&day.stream).expect("live replay failed")));
+    (live, took)
+}
+
+fn p13_churn(day: &SharedDay) -> String {
     use purpose_control::checkpoint::{decode_monitor, encode_monitor};
     use purpose_control::churn::{decode_churn, encode_churn};
-    use workload::stream::{interleave, peak_concurrency};
 
-    println!("## P13 — churn-proof spill path (tiered store, hysteresis, adaptive caps)");
-    let entries = if quick { 20_000 } else { 120_000 };
-    let day = generate_day(
-        &HospitalConfig {
-            target_entries: entries,
-            ..HospitalConfig::default()
-        },
-        42,
-    );
-    let stream = interleave(&day.trail);
-    let peak = peak_concurrency(&stream);
-    let shards = 4;
-    let max_open = (peak / 8).max(2);
-
-    // Batch baseline: the same reference point as P12.
-    let auditor = hospital_auditor();
-    let start = Instant::now();
-    let batch = audit_parallel(&auditor, &day.trail, 4);
-    let batch_time = start.elapsed();
-
-    // Live, churn configuration: spill directory set, so evictions flow
-    // through the compressed memory tier and (on overflow) the
-    // append-only log. The P12 run keeps spill blobs in plain memory;
-    // this one exercises the full tiered path.
+    println!("## P13 — live monitor vs batch under churn (tiered spill path, checkpoint/resume)");
+    // The spill directory routes evictions through the compressed memory
+    // tier and, on overflow, the append-only log: the full tiered path.
     let scratch = std::env::temp_dir().join(format!("purposectl-p13-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
-    let config = LiveConfig {
-        max_open_cases: max_open,
-        spill_dir: Some(scratch.join("live")),
+    let config = |dir: &str| LiveConfig {
+        max_open_cases: day.max_open,
+        spill_dir: Some(scratch.join(dir)),
         ..LiveConfig::default()
     };
-    let mut live = ShardedMonitor::new(hospital_auditor(), &config, shards);
-    let start = Instant::now();
-    live.ingest(&stream).expect("live replay failed");
-    let live_time = start.elapsed();
+    let (live, live_secs) = live_run(day, &config("live"));
     let stats = live.stats();
     assert!(stats.evictions > 0, "the memory bound must actually bite");
-    let live_over_batch = live_time.as_secs_f64() / batch_time.as_secs_f64();
+    let live_over_batch = live_secs / day.batch_secs;
 
     // Disk-eviction reduction: the pre-tier design wrote one spill file
     // per eviction; the tiered store only touches disk on memory-tier
-    // overflow. The ratio is the P13 ">= 10x fewer disk evictions" claim.
+    // overflow. The ratio is the ">= 10x fewer disk evictions" claim.
     let disk_reduction = stats.evictions as f64 / (stats.spill_disk_demotions.max(1)) as f64;
 
-    // Verdict equivalence against the parallel batch audit.
-    let mut mismatches = 0usize;
-    for c in &batch.cases {
-        let live_label = match live.snapshot(c.case) {
-            None => "unresolved".to_string(),
-            Some(Err(e)) => format!("failed: {e}"),
-            Some(Ok(check)) => match check.verdict {
-                Verdict::Compliant { can_complete } => format!("compliant/{can_complete}"),
-                Verdict::Infringement(inf) => format!("infringement@{}", inf.entry_index),
-            },
-        };
-        let batch_label = match &c.outcome {
-            CaseOutcome::Compliant { can_complete } => format!("compliant/{can_complete}"),
-            CaseOutcome::Infringement { infringement, .. } => {
-                format!("infringement@{}", infringement.entry_index)
-            }
-            CaseOutcome::Unresolved(_) => "unresolved".to_string(),
-            other => format!("{other:?}"),
-        };
-        if live_label != batch_label {
-            mismatches += 1;
-            if mismatches <= 5 {
-                println!(
-                    "  MISMATCH {}: batch {batch_label} vs live {live_label}",
-                    c.case
-                );
-            }
-        }
-    }
-    let verdicts_match = mismatches == 0;
+    // Verdict equivalence: every case the batch auditor judged must get
+    // the same verdict, severity included, out of the evicting monitor.
+    let mismatches = day.mismatches("live", |case| match live.snapshot(case) {
+        None => "unresolved".to_string(),
+        Some(Err(e)) => format!("failed: {e}"),
+        Some(Ok(check)) => check_label(
+            &check.verdict,
+            live.closed_case(case).map_or(0.0, |c| c.severity.score),
+        ),
+    });
+    assert_eq!(mismatches, 0, "live verdicts diverged from batch");
 
     // Checkpoint over the loaded spill path, restore into fresh
     // directories, finish the stream: alarms must be those of the
     // uninterrupted run.
-    let mid = stream.len() / 2;
-    let mut first = ShardedMonitor::new(
-        hospital_auditor(),
-        &LiveConfig {
-            spill_dir: Some(scratch.join("first")),
-            ..config.clone()
-        },
-        shards,
-    );
-    first.ingest(&stream[..mid]).expect("first half failed");
+    let mid = day.stream.len() / 2;
+    let mut first = ShardedMonitor::new(hospital_auditor(), &config("first"), SHARDS);
+    first.ingest(&day.stream[..mid]).expect("first half failed");
+    let first_evictions = first.stats().evictions;
     let ckpt = first.checkpoint(mid as u64).expect("checkpoint failed");
     let ckpt_bytes = ckpt.len();
     drop(first);
-    let (mut resumed, offset) = ShardedMonitor::restore(
-        hospital_auditor(),
-        &LiveConfig {
-            spill_dir: Some(scratch.join("resumed")),
-            ..config.clone()
-        },
-        shards,
-        &ckpt,
-    )
-    .expect("restore failed");
+    let (mut resumed, offset) =
+        ShardedMonitor::restore(hospital_auditor(), &config("resumed"), SHARDS, &ckpt)
+            .expect("restore failed");
     assert_eq!(offset, mid as u64, "resume offset must round-trip");
-    resumed.ingest(&stream[mid..]).expect("second half failed");
-    let straight_alarms: Vec<_> = live.alarms().iter().map(|(c, _)| *c).collect();
-    let resumed_alarms: Vec<_> = resumed.alarms().iter().map(|(c, _)| *c).collect();
-    let alarms_match = straight_alarms == resumed_alarms;
-    assert!(alarms_match, "resume changed the alarm set");
+    resumed
+        .ingest(&day.stream[mid..])
+        .expect("second half failed");
+    let alarm_cases = |m: &ShardedMonitor| m.alarms().iter().map(|(c, _)| *c).collect::<Vec<_>>();
+    assert_eq!(
+        alarm_cases(&live),
+        alarm_cases(&resumed),
+        "resume changed the alarm set"
+    );
+    let evictions_across_restart = first_evictions + resumed.stats().evictions;
     let _ = std::fs::remove_dir_all(&scratch);
 
     // Case-record codec micro-bench on a representative eviction victim:
@@ -1200,74 +1220,61 @@ fn p13_churn(quick: bool) -> String {
     let pcle = encode_churn(&churn);
     let durable_bytes = encode_monitor(&durable).unwrap();
     const CODEC_ITERS: u32 = 2_000;
-    let per_op = |d: Duration| d.as_nanos() as u64 / u128::from(CODEC_ITERS) as u64;
-    let pcle_enc = per_op(median_time(
-        || {
-            for _ in 0..CODEC_ITERS {
-                std::hint::black_box(encode_churn(std::hint::black_box(&churn)));
-            }
-        },
-        5,
-    ));
-    let pcle_dec = per_op(median_time(
-        || {
-            for _ in 0..CODEC_ITERS {
-                std::hint::black_box(decode_churn(std::hint::black_box(&pcle)).unwrap());
-            }
-        },
-        5,
-    ));
+    let per_op = |f: &dyn Fn()| {
+        let d = median_time(
+            || {
+                for _ in 0..CODEC_ITERS {
+                    f();
+                }
+            },
+            5,
+        );
+        d.as_nanos() as u64 / u64::from(CODEC_ITERS)
+    };
+    let pcle_enc = per_op(&|| drop(black_box(encode_churn(black_box(&churn)))));
+    let pcle_dec = per_op(&|| drop(black_box(decode_churn(black_box(&pcle)).unwrap())));
     // What a rehydration cycle pays is record decode alone — the entry
     // window stays in wire form. Materializing it (the alarm path, and the
     // closest like-for-like against the durable decode, which renumbers
     // the window) is measured separately.
-    let pcle_dec_full = per_op(median_time(
-        || {
-            for _ in 0..CODEC_ITERS {
-                let c = decode_churn(std::hint::black_box(&pcle)).unwrap();
-                std::hint::black_box(c.entries.decode(c.case).unwrap());
-            }
-        },
-        5,
-    ));
-    let durable_enc = per_op(median_time(
-        || {
-            for _ in 0..CODEC_ITERS {
-                std::hint::black_box(encode_monitor(std::hint::black_box(&durable)).unwrap());
-            }
-        },
-        5,
-    ));
-    let durable_dec = per_op(median_time(
-        || {
-            for _ in 0..CODEC_ITERS {
-                std::hint::black_box(decode_monitor(std::hint::black_box(&durable_bytes)).unwrap());
-            }
-        },
-        5,
-    ));
+    let pcle_dec_full = per_op(&|| {
+        let c = decode_churn(black_box(&pcle)).unwrap();
+        drop(black_box(c.entries.decode(c.case).unwrap()));
+    });
+    let durable_enc = per_op(&|| drop(black_box(encode_monitor(black_box(&durable)).unwrap())));
+    let durable_dec = per_op(&|| {
+        drop(black_box(
+            decode_monitor(black_box(&durable_bytes)).unwrap(),
+        ))
+    });
 
     println!(
-        "{} entries, peak {peak} concurrent, {shards} shards x {max_open} resident",
-        stream.len()
+        "{} entries, {} cases (peak {} concurrent), {SHARDS} shards x {} resident",
+        day.stream.len(),
+        day.cases,
+        day.peak,
+        day.max_open
     );
     println!(
-        "batch {} | live {} ({live_over_batch:.2}x batch) | {} alarms",
-        fmt_dur(batch_time),
-        fmt_dur(live_time),
+        "batch {} | live {} ({live_over_batch:.2}x batch) | {} alarms, {} KiB spilled",
+        fmt_dur(Duration::from_secs_f64(day.batch_secs)),
+        fmt_dur(Duration::from_secs_f64(live_secs)),
         stats.alarms,
+        stats.spilled_bytes / 1024,
     );
     println!(
-        "churn: {} evictions ({} avoided), {} tier hits, {} disk demotions \
+        "churn: {} evictions ({} avoided), {} rehydrations, {} tier hits, {} disk demotions \
          ({disk_reduction:.0}x fewer than evictions), {} log bytes, {} compactions, \
-         {} cap rebalances",
+         {} cap rebalances, {} retired",
         stats.evictions,
         stats.evictions_avoided,
+        stats.rehydrations,
         stats.spill_tier_hits,
         stats.spill_disk_demotions,
         stats.spill_log_bytes,
         stats.spill_compactions,
         stats.cap_rebalances,
+        stats.retired,
     );
     println!(
         "codec ({} entries in window): run-local {} B enc {pcle_enc} ns dec {pcle_dec} ns \
@@ -1278,24 +1285,27 @@ fn p13_churn(quick: bool) -> String {
         durable_bytes.len(),
     );
     println!(
-        "verdicts match batch: {verdicts_match} ({mismatches} mismatches) | \
-         checkpoint {ckpt_bytes} B at entry {mid}, resume alarms match: {alarms_match}"
+        "verdicts match batch: true ({} cases) | checkpoint {ckpt_bytes} B at entry {mid}, \
+         resume alarms match: true",
+        day.batch.cases.len()
     );
     println!();
 
     format!(
         "{{\n  \
-           \"benchmark\": \"churn_spill_path\",\n  \
+           \"benchmark\": \"live_monitor_churn\",\n  \
            \"workload\": \"hospital_day_interleaved\",\n  \
            \"entries\": {},\n  \
-           \"peak_concurrency\": {peak},\n  \
-           \"shards\": {shards},\n  \
-           \"max_open_cases\": {max_open},\n  \
-           \"batch_seconds\": {:.6},\n  \
-           \"live_seconds\": {:.6},\n  \
+           \"cases\": {},\n  \
+           \"peak_concurrency\": {},\n  \
+           \"shards\": {SHARDS},\n  \
+           \"max_open_cases\": {},\n  \
+           \"batch\": {{ \"seconds\": {:.6}, \"infringing_cases\": {} }},\n  \
+           \"live\": {{ \"seconds\": {live_secs:.6}, \"alarms\": {} }},\n  \
            \"live_over_batch\": {live_over_batch:.4},\n  \
            \"counters\": {{ \"evictions\": {}, \"evictions_avoided\": {}, \
-             \"rehydrations\": {}, \"spill_tier_hits\": {}, \"spill_disk_demotions\": {}, \
+             \"rehydrations\": {}, \"retired\": {}, \"spilled_bytes\": {}, \
+             \"spill_tier_hits\": {}, \"spill_disk_demotions\": {}, \
              \"spill_log_bytes\": {}, \"spill_compactions\": {}, \"cap_rebalances\": {} }},\n  \
            \"disk_eviction_reduction\": {disk_reduction:.1},\n  \
            \"codec\": {{ \"pcle_bytes\": {}, \"durable_bytes\": {}, \
@@ -1303,14 +1313,21 @@ fn p13_churn(quick: bool) -> String {
              \"pcle_decode_full_ns\": {pcle_dec_full}, \
              \"durable_encode_ns\": {durable_enc}, \"durable_decode_ns\": {durable_dec} }},\n  \
            \"checkpoint\": {{ \"bytes\": {ckpt_bytes}, \"at_entry\": {mid}, \
-             \"resume_offset_ok\": true, \"alarms_match_uninterrupted\": {alarms_match} }},\n  \
-           \"verdicts_match_batch\": {verdicts_match}\n}}",
-        stream.len(),
-        batch_time.as_secs_f64(),
-        live_time.as_secs_f64(),
+             \"resume_offset_ok\": true, \"alarms_match_uninterrupted\": true, \
+             \"evictions_across_restart\": {evictions_across_restart} }},\n  \
+           \"verdicts_match_batch\": true\n}}",
+        day.stream.len(),
+        day.cases,
+        day.peak,
+        day.max_open,
+        day.batch_secs,
+        day.batch.infringing_cases(),
+        stats.alarms,
         stats.evictions,
         stats.evictions_avoided,
         stats.rehydrations,
+        stats.retired,
+        stats.spilled_bytes,
         stats.spill_tier_hits,
         stats.spill_disk_demotions,
         stats.spill_log_bytes,
@@ -1321,37 +1338,13 @@ fn p13_churn(quick: bool) -> String {
     )
 }
 
-fn p14_serve(quick: bool) -> String {
-    use workload::stream::interleave;
-
-    println!("## P14 — serving layer: HTTP ingest vs the batch auditor");
-    let entries = if quick { 20_000 } else { 120_000 };
-    let day = generate_day(
-        &HospitalConfig {
-            target_entries: entries,
-            ..HospitalConfig::default()
-        },
-        42,
-    );
-    let stream = interleave(&day.trail);
-
-    // Batch baseline: the §7 parallel audit over the finished trail.
-    let start = Instant::now();
-    let batch = audit_parallel(&hospital_auditor(), &day.trail, 4);
-    let batch_time = start.elapsed();
-
-    // Split arrival order across tenants with the shared routing helper —
-    // the same split the e2e harness uses, so each case lands whole on
-    // exactly one tenant and per-tenant identity is well-defined.
-    const TENANTS: [&str; 3] = ["north", "south", "east"];
-    const BATCH: usize = 2_000;
-    let mut per_tenant: Vec<Vec<String>> = vec![Vec::new(); TENANTS.len()];
-    for e in &stream {
-        let key = audit::case_key(e.case.as_str());
-        per_tenant[audit::partition_of(key, TENANTS.len())].push(e.to_string());
-    }
-    let posts: usize = per_tenant.iter().map(|t| t.chunks(BATCH).count()).sum();
-
+/// Boot one server with a tenant per [`TENANTS`] entry under `tracer` and
+/// push the shared day through it: one client thread per tenant posting
+/// `POST_LINES`-line batches, timed from the first byte on the wire until
+/// every ingest queue has drained — the latency a caller actually
+/// observes, not just socket accept. Returns the running server and the
+/// wall seconds.
+fn serve_ingest(day: &SharedDay, tracer: obs::Tracer) -> (Server, f64) {
     let specs = TENANTS
         .iter()
         .map(|t| TenantSpec {
@@ -1362,23 +1355,19 @@ fn p14_serve(quick: bool) -> String {
     let server = Server::start(
         specs,
         ServeConfig {
-            watermark: stream.len() as u64 + 1,
+            watermark: day.stream.len() as u64 + 1,
+            tracer,
             ..ServeConfig::default()
         },
     )
     .expect("server boot");
     let addr = server.addr().to_string();
-
-    // Sustained ingest: one client thread per tenant, fixed-size batches,
-    // timed from the first byte on the wire until every queue has drained
-    // — the latency a caller actually observes, not just socket accept.
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for (i, tenant) in TENANTS.iter().enumerate() {
-            let lines = &per_tenant[i];
+        for (tenant, lines) in TENANTS.iter().zip(&day.per_tenant) {
             let addr = addr.as_str();
             scope.spawn(move || {
-                for chunk in lines.chunks(BATCH) {
+                for chunk in lines.chunks(POST_LINES) {
                     let body = format!("{}\n", chunk.join("\n"));
                     let resp =
                         client::request(addr, "POST", &format!("/v1/{tenant}/entries"), &body)
@@ -1405,55 +1394,12 @@ fn p14_serve(quick: bool) -> String {
         assert!(Instant::now() < drain_deadline, "queues never drained");
         std::thread::sleep(Duration::from_millis(2));
     }
-    let serve_time = start.elapsed();
-    let per_sec = stream.len() as f64 / serve_time.as_secs_f64();
+    (server, start.elapsed().as_secs_f64())
+}
 
-    // Verdict identity: every batch outcome against the served label,
-    // fetched through the public case endpoint.
-    let mut mismatches = 0usize;
-    let mut alarms = 0usize;
-    for c in &batch.cases {
-        let batch_label = match &c.outcome {
-            CaseOutcome::Compliant { can_complete } => {
-                format!("compliant complete={can_complete}")
-            }
-            CaseOutcome::Infringement {
-                infringement,
-                severity,
-            } => {
-                alarms += 1;
-                format!(
-                    "infringement@{} severity={:.4}",
-                    infringement.entry_index, severity.score
-                )
-            }
-            other => format!("{other:?}"),
-        };
-        let key = audit::case_key(c.case.as_str());
-        let tenant = TENANTS[audit::partition_of(key, TENANTS.len())];
-        let resp = client::request(&addr, "GET", &format!("/v1/{tenant}/cases/{}", c.case), "")
-            .expect("case fetch");
-        let served = obs::parse_json(&resp.body)
-            .ok()
-            .and_then(|doc| {
-                doc.get("verdict")
-                    .and_then(|v| v.as_str())
-                    .map(str::to_string)
-            })
-            .unwrap_or_else(|| format!("status {}", resp.status));
-        if served != batch_label {
-            mismatches += 1;
-            if mismatches <= 5 {
-                println!(
-                    "  MISMATCH {}: batch {batch_label} vs served {served}",
-                    c.case
-                );
-            }
-        }
-    }
-    let verdicts_match = mismatches == 0;
-    assert!(verdicts_match, "served verdicts diverged from batch");
-
+/// Shut a [`serve_ingest`] server down: every tenant worker must have
+/// survived and every entry of the day must have been audited.
+fn serve_shutdown(server: Server, day: &SharedDay) {
     let report = server.shutdown().expect("shutdown");
     assert!(
         report.failed.is_empty(),
@@ -1461,7 +1407,37 @@ fn p14_serve(quick: bool) -> String {
         report.failed
     );
     let audited: u64 = report.checkpoints.iter().map(|(_, n, _)| *n).sum();
-    assert_eq!(audited, stream.len() as u64, "entries lost in flight");
+    assert_eq!(audited, day.stream.len() as u64, "entries lost in flight");
+}
+
+fn p14_serve(day: &SharedDay, quick: bool) -> String {
+    println!("## P14 — serving layer: HTTP ingest vs the batch auditor");
+    let (server, serve_secs) = serve_ingest(day, obs::Tracer::noop());
+    let addr = server.addr().to_string();
+    let per_sec = day.stream.len() as f64 / serve_secs;
+    let posts: usize = day
+        .per_tenant
+        .iter()
+        .map(|t| t.chunks(POST_LINES).count())
+        .sum();
+
+    // Verdict identity: every batch outcome against the served label,
+    // fetched through the public case endpoint.
+    let mismatches = day.mismatches("served", |case| {
+        let tenant = TENANTS[tenant_of(case)];
+        let resp = client::request(&addr, "GET", &format!("/v1/{tenant}/cases/{case}"), "")
+            .expect("case fetch");
+        obs::parse_json(&resp.body)
+            .ok()
+            .and_then(|doc| {
+                doc.get("verdict")
+                    .and_then(|v| v.as_str())
+                    .map(str::to_string)
+            })
+            .unwrap_or_else(|| format!("status {}", resp.status))
+    });
+    assert_eq!(mismatches, 0, "served verdicts diverged from batch");
+    serve_shutdown(server, day);
     let sustained = per_sec >= 50_000.0;
     if !quick && cfg!(not(debug_assertions)) {
         assert!(
@@ -1469,18 +1445,19 @@ fn p14_serve(quick: bool) -> String {
             "sustained HTTP ingest below 50k entries/s: {per_sec:.0}"
         );
     }
+    let alarms = day.batch.infringing_cases();
 
     println!(
-        "{} entries over HTTP across {} tenants ({BATCH}-line batches, {posts} POSTs)",
-        stream.len(),
+        "{} entries over HTTP across {} tenants ({POST_LINES}-line batches, {posts} POSTs)",
+        day.stream.len(),
         TENANTS.len()
     );
     println!(
         "batch {} | served ingest {} ({per_sec:.0} entries/s) | \
-         {} cases, {alarms} alarms, verdicts match: {verdicts_match}",
-        fmt_dur(batch_time),
-        fmt_dur(serve_time),
-        batch.cases.len(),
+         {} cases, {alarms} alarms, verdicts match: true",
+        fmt_dur(Duration::from_secs_f64(day.batch_secs)),
+        fmt_dur(Duration::from_secs_f64(serve_secs)),
+        day.batch.cases.len(),
     );
     println!();
 
@@ -1490,44 +1467,23 @@ fn p14_serve(quick: bool) -> String {
            \"workload\": \"hospital_day_interleaved\",\n  \
            \"entries\": {},\n  \
            \"tenants\": {},\n  \
-           \"lines_per_post\": {BATCH},\n  \
+           \"lines_per_post\": {POST_LINES},\n  \
            \"posts\": {posts},\n  \
-           \"batch\": {{ \"seconds\": {:.6}, \"infringing_cases\": {} }},\n  \
-           \"serve\": {{ \"seconds\": {:.6}, \"entries_per_sec\": {per_sec:.0}, \
+           \"batch\": {{ \"seconds\": {:.6}, \"infringing_cases\": {alarms} }},\n  \
+           \"serve\": {{ \"seconds\": {serve_secs:.6}, \"entries_per_sec\": {per_sec:.0}, \
              \"alarms\": {alarms}, \"drained_offset_ok\": true }},\n  \
            \"sustained_50k_per_sec\": {sustained},\n  \
-           \"verdicts_match_batch\": {verdicts_match}\n}}",
-        stream.len(),
+           \"verdicts_match_batch\": true\n}}",
+        day.stream.len(),
         TENANTS.len(),
-        batch_time.as_secs_f64(),
-        batch.infringing_cases(),
-        serve_time.as_secs_f64(),
+        day.batch_secs,
     )
 }
 
-fn p15_durability(quick: bool) -> String {
+fn p15_durability(day: &SharedDay) -> String {
     use purpose_control::SyncPolicy;
-    use workload::stream::{interleave, peak_concurrency};
 
     println!("## P15 — fsync-policy overhead on the live churn workload");
-    let entries = if quick { 20_000 } else { 120_000 };
-    let day = generate_day(
-        &HospitalConfig {
-            target_entries: entries,
-            ..HospitalConfig::default()
-        },
-        42,
-    );
-    let stream = interleave(&day.trail);
-    let peak = peak_concurrency(&stream);
-    let shards = 4;
-    let max_open = (peak / 8).max(2);
-
-    let auditor = hospital_auditor();
-    let start = Instant::now();
-    let _batch = audit_parallel(&auditor, &day.trail, 4);
-    let batch_time = start.elapsed();
-
     let scratch = std::env::temp_dir().join(format!("purposectl-p15-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     let policies = [
@@ -1535,72 +1491,66 @@ fn p15_durability(quick: bool) -> String {
         ("batched", SyncPolicy::default()),
         ("always", SyncPolicy::Always),
     ];
-
-    // One live run of the stream under `config`; returns the JSON fragment
-    // and (seconds, alarms) for the cross-policy identity check.
-    let run = |label: &str, config: &LiveConfig| -> (String, f64, u64) {
-        let mut live = ShardedMonitor::new(hospital_auditor(), config, shards);
-        let start = Instant::now();
-        live.ingest(&stream).expect("live replay failed");
-        let secs = start.elapsed().as_secs_f64();
-        let stats = live.stats();
-        println!(
-            "  {label:<20} {} ({:.2}x batch): {} fsyncs, {} disk demotions, \
-             {} log bytes, {} alarms",
-            fmt_dur(Duration::from_secs_f64(secs)),
-            secs / batch_time.as_secs_f64(),
-            stats.durable_fsyncs,
-            stats.spill_disk_demotions,
-            stats.spill_log_bytes,
-            stats.alarms,
-        );
-        let json = format!(
-            "{{ \"live_seconds\": {secs:.6}, \"live_over_batch\": {:.4}, \
-             \"fsyncs\": {}, \"disk_demotions\": {}, \"log_bytes\": {} }}",
-            secs / batch_time.as_secs_f64(),
-            stats.durable_fsyncs,
-            stats.spill_disk_demotions,
-            stats.spill_log_bytes,
-        );
-        (json, secs, stats.alarms)
-    };
-
-    // (a) The stock P13 churn configuration (PR 6 baseline shape): the
-    // compressed memory tier absorbs the churn, so the spill log — and
-    // with it the fsync policy — is rarely touched. This is the
-    // acceptance configuration: batched must stay within 10% of the PR 6
-    // live-over-batch baseline.
-    println!("stock P13 configuration (memory tier absorbs churn):");
-    let mut stock = Vec::new();
+    // Two spill shapes, each under the three policies. Stock is the P13
+    // configuration, the acceptance one: the compressed memory tier absorbs
+    // the churn, so the spill log — and with it the fsync policy — is
+    // rarely touched. Forced-disk disables the memory tier, so every
+    // eviction hits the append-only log — the worst case for fsync cost
+    // and the shape that actually separates the policies.
+    let variants = [
+        (
+            "stock",
+            LiveConfig::default().mem_spill_bytes,
+            "stock P13 configuration (memory tier absorbs churn):",
+        ),
+        (
+            "forced_disk",
+            0,
+            "forced-disk variant (memory tier disabled, every eviction hits the log):",
+        ),
+    ];
+    let mut records = Vec::new();
+    let mut ratios = Vec::new();
     let mut alarms_seen = Vec::new();
-    for (label, policy) in policies {
-        let config = LiveConfig {
-            max_open_cases: max_open,
-            spill_dir: Some(scratch.join(format!("stock-{label}"))),
-            durability: policy,
-            ..LiveConfig::default()
-        };
-        let (json, secs, alarms) = run(label, &config);
-        stock.push((label, json, secs));
-        alarms_seen.push(alarms);
-    }
-
-    // (b) Forced-disk variant: no memory tier, every eviction hits the
-    // append-only log — the worst case for fsync cost and the shape that
-    // actually separates the three policies.
-    println!("forced-disk variant (memory tier disabled, every eviction hits the log):");
-    let mut forced = Vec::new();
-    for (label, policy) in policies {
-        let config = LiveConfig {
-            max_open_cases: max_open,
-            spill_dir: Some(scratch.join(format!("disk-{label}"))),
-            mem_spill_bytes: 0,
-            durability: policy,
-            ..LiveConfig::default()
-        };
-        let (json, secs, alarms) = run(label, &config);
-        forced.push((label, json, secs));
-        alarms_seen.push(alarms);
+    for (variant, mem_spill_bytes, title) in variants {
+        println!("{title}");
+        let mut runs = Vec::new();
+        for (label, policy) in policies {
+            let config = LiveConfig {
+                max_open_cases: day.max_open,
+                spill_dir: Some(scratch.join(format!("{variant}-{label}"))),
+                mem_spill_bytes,
+                durability: policy,
+                ..LiveConfig::default()
+            };
+            let (live, took) = live_run(day, &config);
+            let stats = live.stats();
+            let over_batch = took / day.batch_secs;
+            println!(
+                "  {label:<20} {} ({over_batch:.2}x batch): {} fsyncs, {} disk demotions, \
+                 {} log bytes, {} alarms",
+                fmt_dur(Duration::from_secs_f64(took)),
+                stats.durable_fsyncs,
+                stats.spill_disk_demotions,
+                stats.spill_log_bytes,
+                stats.alarms,
+            );
+            let json = format!(
+                "\"{label}\": {{ \"live_seconds\": {took:.6}, \
+                 \"live_over_batch\": {over_batch:.4}, \"fsyncs\": {}, \
+                 \"disk_demotions\": {}, \"log_bytes\": {} }}",
+                stats.durable_fsyncs, stats.spill_disk_demotions, stats.spill_log_bytes,
+            );
+            runs.push((took, json));
+            alarms_seen.push(stats.alarms);
+        }
+        let body: Vec<_> = runs.iter().map(|(_, json)| json.as_str()).collect();
+        records.push(format!(
+            "\"{variant}\": {{\n    {}\n  }}",
+            body.join(",\n    ")
+        ));
+        ratios.push((variant, "batched", runs[1].0 / runs[0].0));
+        ratios.push((variant, "always", runs[2].0 / runs[0].0));
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
@@ -1610,176 +1560,70 @@ fn p15_durability(quick: bool) -> String {
         alarms_seen.windows(2).all(|w| w[0] == w[1]),
         "fsync policy changed the alarm count: {alarms_seen:?}"
     );
-
-    let stock_never = stock[0].2;
-    let stock_batched = stock[1].2;
-    let forced_never = forced[0].2;
-    let forced_batched = forced[1].2;
-    let forced_always = forced[2].2;
-    println!(
-        "overhead vs never: stock batched {:+.1}% | forced-disk batched {:+.1}%, \
-         always {:+.1}%",
-        (stock_batched / stock_never - 1.0) * 100.0,
-        (forced_batched / forced_never - 1.0) * 100.0,
-        (forced_always / forced_never - 1.0) * 100.0,
-    );
+    let overheads: Vec<_> = ratios
+        .iter()
+        .map(|(variant, policy, r)| format!("{variant} {policy} {:+.1}%", (r - 1.0) * 100.0))
+        .collect();
+    println!("overhead vs never: {}", overheads.join(" | "));
     println!();
 
-    let section = |runs: &[(&str, String, f64)]| {
-        runs.iter()
-            .map(|(label, json, _)| format!("\"{label}\": {json}"))
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    };
+    let ratios: Vec<_> = ratios
+        .iter()
+        .map(|(variant, policy, r)| format!("\"{variant}_{policy}_over_never\": {r:.4}"))
+        .collect();
     format!(
         "{{\n  \
            \"benchmark\": \"durability_fsync_policy\",\n  \
            \"workload\": \"hospital_day_interleaved\",\n  \
            \"entries\": {},\n  \
-           \"shards\": {shards},\n  \
-           \"max_open_cases\": {max_open},\n  \
+           \"shards\": {SHARDS},\n  \
+           \"max_open_cases\": {},\n  \
            \"batch_seconds\": {:.6},\n  \
-           \"stock\": {{\n    {}\n  }},\n  \
-           \"forced_disk\": {{\n    {}\n  }},\n  \
-           \"stock_batched_over_never\": {:.4},\n  \
-           \"forced_batched_over_never\": {:.4},\n  \
-           \"forced_always_over_never\": {:.4},\n  \
+           {},\n  \
+           {},\n  \
            \"alarms_identical_across_policies\": true\n}}",
-        stream.len(),
-        batch_time.as_secs_f64(),
-        section(&stock),
-        section(&forced),
-        stock_batched / stock_never,
-        forced_batched / forced_never,
-        forced_always / forced_never,
+        day.stream.len(),
+        day.max_open,
+        day.batch_secs,
+        records.join(",\n  "),
+        ratios.join(",\n  "),
     )
 }
 
-/// One timed serve ingest of a pre-split workload under `tracer` — the
-/// P16 measurement primitive. Returns (wall seconds, kept traces, spans).
-fn traced_serve_run(
-    per_tenant: &[Vec<String>],
-    tenants: &[&str],
-    total: usize,
-    batch: usize,
-    tracer: obs::Tracer,
-) -> (f64, u64, u64) {
-    let specs = tenants
-        .iter()
-        .map(|t| TenantSpec {
-            name: t.to_string(),
-            auditor: hospital_auditor(),
-        })
-        .collect();
-    let server = Server::start(
-        specs,
-        ServeConfig {
-            watermark: total as u64 + 1,
-            tracer: tracer.clone(),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server boot");
-    let addr = server.addr().to_string();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for (i, tenant) in tenants.iter().enumerate() {
-            let lines = &per_tenant[i];
-            let addr = addr.as_str();
-            scope.spawn(move || {
-                for chunk in lines.chunks(batch) {
-                    let body = format!("{}\n", chunk.join("\n"));
-                    let resp =
-                        client::request(addr, "POST", &format!("/v1/{tenant}/entries"), &body)
-                            .expect("submit");
-                    assert_eq!(resp.status, 202, "submit failed: {}", resp.body);
-                }
-            });
-        }
-    });
-    let drain_deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let queued: u64 = tenants
-            .iter()
-            .map(|t| {
-                let resp = client::request(&addr, "GET", &format!("/v1/{t}/verdicts"), "")
-                    .expect("verdicts");
-                let doc = obs::parse_json(&resp.body).expect("verdicts JSON");
-                doc.get("queued").and_then(|v| v.as_f64()).expect("queued") as u64
-            })
-            .sum();
-        if queued == 0 {
-            break;
-        }
-        assert!(Instant::now() < drain_deadline, "queues never drained");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let kept = tracer.drain().len() as u64;
-    let spans = tracer.spans_total();
-    let report = server.shutdown().expect("shutdown");
-    assert!(
-        report.failed.is_empty(),
-        "tenant worker died: {:?}",
-        report.failed
-    );
-    (secs, kept, spans)
-}
-
-fn p16_tracing(quick: bool) -> String {
-    use workload::stream::interleave;
-
+fn p16_tracing(day: &SharedDay, quick: bool) -> String {
     println!("## P16 — request-tracing overhead: noop vs tail-sampled vs fully traced");
-    let entries = if quick { 20_000 } else { 120_000 };
-    let day = generate_day(
-        &HospitalConfig {
-            target_entries: entries,
-            ..HospitalConfig::default()
-        },
-        42,
-    );
-    let stream = interleave(&day.trail);
-    const TENANTS: [&str; 3] = ["north", "south", "east"];
-    const BATCH: usize = 2_000;
-    let mut per_tenant: Vec<Vec<String>> = vec![Vec::new(); TENANTS.len()];
-    for e in &stream {
-        let key = audit::case_key(e.case.as_str());
-        per_tenant[audit::partition_of(key, TENANTS.len())].push(e.to_string());
-    }
-
-    // Min of 5 runs per configuration: wall-clock on this workload is
-    // dominated by HTTP scheduling noise (run-to-run swings exceed the
-    // effect under measurement), and min-of-N is the standard estimator
-    // for a cost floor. The noop run is the baseline the
-    // disabled-by-default path must not regress, the 1% tail sample is
-    // the recommended production setting, full tracing bounds the worst
-    // case an operator can switch on.
-    let reps = 5;
-    let measure = |mk: &dyn Fn() -> obs::Tracer| {
-        let mut secs = Vec::with_capacity(reps);
-        let (mut kept, mut spans) = (0, 0);
-        for _ in 0..reps {
-            let (s, k, sp) = traced_serve_run(&per_tenant, &TENANTS, stream.len(), BATCH, mk());
-            secs.push(s);
-            kept = k;
-            spans = sp;
-        }
-        secs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        (secs[0], kept, spans)
+    // The noop tracer is the baseline the disabled-by-default path must
+    // not regress, the 1% tail sample is the recommended production
+    // setting, full tracing bounds the worst case an operator can switch
+    // on. Wall-clock here is dominated by HTTP scheduling noise, which can
+    // exceed the effect under measurement; the bands show by how much.
+    let rounds = 5;
+    let tracers: [fn() -> obs::Tracer; 3] = [
+        obs::Tracer::noop,
+        || obs::Tracer::sampled(0.01, 100_000),
+        || obs::Tracer::sampled(1.0, 0),
+    ];
+    // (kept traces, spans) of each arm's latest run.
+    let kept: [Cell<(u64, u64)>; 3] = Default::default();
+    let run = |arm: usize| {
+        let tracer = tracers[arm]();
+        let (server, took) = serve_ingest(day, tracer.clone());
+        kept[arm].set((tracer.drain().len() as u64, tracer.spans_total()));
+        serve_shutdown(server, day);
+        took
     };
-    let (noop_secs, _, _) = measure(&obs::Tracer::noop);
-    let (sampled_secs, sampled_kept, sampled_spans) =
-        measure(&|| obs::Tracer::sampled(0.01, 100_000));
-    let (full_secs, full_kept, full_spans) = measure(&|| obs::Tracer::sampled(1.0, 0));
+    let [noop, sampled, full] =
+        interleaved([&mut || run(0), &mut || run(1), &mut || run(2)], rounds);
+    let ((sampled_kept, sampled_spans), (full_kept, full_spans)) = (kept[1].get(), kept[2].get());
 
-    let overhead = |t: f64| (t / noop_secs - 1.0) * 100.0;
-    let sampled_pct = overhead(sampled_secs);
-    let full_pct = overhead(full_secs);
+    let sampled_pct = sampled.over(&noop);
+    let full_pct = full.over(&noop);
     // A fully-traced run must emit one span tree per POST (plus the
     // drain-poll GETs); the sampled run keeps roughly 1% of them.
-    let posts: u64 = per_tenant
+    let posts: u64 = day
+        .per_tenant
         .iter()
-        .map(|t| t.chunks(BATCH).count() as u64)
+        .map(|t| t.chunks(POST_LINES).count() as u64)
         .sum();
     assert!(
         full_kept >= posts,
@@ -1794,12 +1638,12 @@ fn p16_tracing(quick: bool) -> String {
     }
 
     println!(
-        "{} entries over HTTP, min of {reps}: noop {:.3}s | 1% sample {:.3}s \
-         ({sampled_pct:+.1}%) | full {:.3}s ({full_pct:+.1}%)",
-        stream.len(),
-        noop_secs,
-        sampled_secs,
-        full_secs,
+        "{} entries over HTTP, min (+spread) of {rounds} rounds: noop {} | 1% sample {} \
+         ({sampled_pct:+.1}%) | full {} ({full_pct:+.1}%)",
+        day.stream.len(),
+        noop.show(),
+        sampled.show(),
+        full.show(),
     );
     println!(
         "kept traces: sampled {sampled_kept} ({sampled_spans} spans) | \
@@ -1813,17 +1657,20 @@ fn p16_tracing(quick: bool) -> String {
            \"workload\": \"hospital_day_interleaved\",\n  \
            \"entries\": {},\n  \
            \"tenants\": {},\n  \
-           \"reps\": {reps},\n  \
-           \"noop_seconds\": {noop_secs:.6},\n  \
-           \"sampled\": {{ \"rate\": 0.01, \"slow_us\": 100000, \"seconds\": {sampled_secs:.6}, \
+           \"rounds\": {rounds},\n  \
+           \"noop\": {{ {} }},\n  \
+           \"sampled\": {{ \"rate\": 0.01, \"slow_us\": 100000, {}, \
              \"overhead_pct\": {sampled_pct:.2}, \"kept_traces\": {sampled_kept}, \
              \"spans\": {sampled_spans} }},\n  \
-           \"full\": {{ \"rate\": 1.0, \"seconds\": {full_secs:.6}, \
+           \"full\": {{ \"rate\": 1.0, {}, \
              \"overhead_pct\": {full_pct:.2}, \"kept_traces\": {full_kept}, \
              \"spans\": {full_spans} }},\n  \
            \"sampled_within_5pct_budget\": {sampled_ok}\n}}",
-        stream.len(),
+        day.stream.len(),
         TENANTS.len(),
+        noop.json(),
+        sampled.json(),
+        full.json(),
     )
 }
 
@@ -1880,7 +1727,7 @@ fn p17_trie(quick: bool, gate: bool) -> String {
         engine: Engine::Trie,
         ..CheckOptions::default()
     };
-    // Min of 3: throughput floor, same estimator as P16. Each trie rep
+    // Min of 3: the throughput floor. Each trie rep
     // starts from a cold, empty cache, so its misses are paid inside the
     // timed region — the speedup is not an artifact of pre-warming.
     let reps = 3;
@@ -1908,10 +1755,13 @@ fn p17_trie(quick: bool, gate: bool) -> String {
         (best, last)
     };
 
+    // The multi-thread arms run at the host's parallelism: more threads
+    // than cores only adds contention to the timing.
+    let threads = nproc();
     let (uncached_t1, uncached_r1) = time_one(1, false);
-    let (uncached_t8, uncached_r8) = time_one(8, false);
+    let (uncached_tn, uncached_rn) = time_one(threads, false);
     let (trie_t1, trie_r1) = time_one(1, true);
-    let (trie_t8, trie_r8) = time_one(8, true);
+    let (trie_tn, trie_rn) = time_one(threads, true);
 
     // Byte-identity of the observable outputs across arms and thread
     // counts — this never degrades to a warning, even outside --gate.
@@ -1919,23 +1769,20 @@ fn p17_trie(quick: bool, gate: bool) -> String {
         checks
             .iter()
             .map(|c| {
-                let v = match &c.verdict {
-                    Verdict::Compliant { can_complete } => format!("compliant/{can_complete}"),
-                    Verdict::Infringement(inf) => format!("infringement@{}", inf.entry_index),
-                };
+                let v = check_label(&c.verdict, 0.0);
                 (v, c.explored_successors, c.peak_configurations)
             })
             .collect()
     };
     let baseline = fp(&uncached_r1);
     for (label, run) in [
-        ("uncached/8", fp(&uncached_r8)),
+        ("uncached/n", fp(&uncached_rn)),
         ("trie/1", fp(&trie_r1)),
-        ("trie/8", fp(&trie_r8)),
+        ("trie/n", fp(&trie_rn)),
     ] {
         assert_eq!(
             baseline, run,
-            "P17: {label} verdicts diverged from uncached/1"
+            "P17: {label} verdicts diverged from uncached/1 ({threads} threads)"
         );
     }
     let infringing = baseline
@@ -1960,7 +1807,7 @@ fn p17_trie(quick: bool, gate: bool) -> String {
 
     let cps = |secs: f64| cfg.cases as f64 / secs;
     let speedup_t1 = uncached_t1 / trie_t1;
-    let speedup_t8 = uncached_t8 / trie_t8;
+    let speedup_tn = uncached_tn / trie_tn;
     println!(
         "{} cases ({} entries, {} stamped, {} infringing), min of {reps}:",
         cfg.cases, entries_total, day.stamped, infringing
@@ -1973,11 +1820,11 @@ fn p17_trie(quick: bool, gate: bool) -> String {
         cps(trie_t1),
     );
     println!(
-        "  8 threads: uncached {:>9} ({:>9.0} cases/s) | trie {:>9} ({:>9.0} cases/s) | {speedup_t8:.1}x",
-        fmt_dur(Duration::from_secs_f64(uncached_t8)),
-        cps(uncached_t8),
-        fmt_dur(Duration::from_secs_f64(trie_t8)),
-        cps(trie_t8),
+        "{threads:>3} threads: uncached {:>9} ({:>9.0} cases/s) | trie {:>9} ({:>9.0} cases/s) | {speedup_tn:.1}x",
+        fmt_dur(Duration::from_secs_f64(uncached_tn)),
+        cps(uncached_tn),
+        fmt_dur(Duration::from_secs_f64(trie_tn)),
+        cps(trie_tn),
     );
     println!(
         "  trie cache: {} hits / {} misses ({:.1}% hit rate), {} frontiers, {} transitions, {} KiB",
@@ -2008,23 +1855,24 @@ fn p17_trie(quick: bool, gate: bool) -> String {
            \"duplicate_fraction\": {},\n  \
            \"archetypes\": {},\n  \
            \"reps\": {reps},\n  \
+           \"threads\": {threads},\n  \
            \"uncached\": {{ \"t1_seconds\": {uncached_t1:.6}, \"t1_cases_per_s\": {:.1}, \
-             \"t8_seconds\": {uncached_t8:.6}, \"t8_cases_per_s\": {:.1} }},\n  \
+             \"tn_seconds\": {uncached_tn:.6}, \"tn_cases_per_s\": {:.1} }},\n  \
            \"trie\": {{ \"t1_seconds\": {trie_t1:.6}, \"t1_cases_per_s\": {:.1}, \
-             \"t8_seconds\": {trie_t8:.6}, \"t8_cases_per_s\": {:.1}, \
+             \"tn_seconds\": {trie_tn:.6}, \"tn_cases_per_s\": {:.1}, \
              \"hits\": {}, \"misses\": {}, \"frontiers\": {}, \"transitions\": {}, \
              \"bytes\": {} }},\n  \
            \"speedup_t1\": {speedup_t1:.2},\n  \
-           \"speedup_t8\": {speedup_t8:.2},\n  \
+           \"speedup_tn\": {speedup_tn:.2},\n  \
            \"verdicts_identical\": true\n}}",
         cfg.cases,
         day.stamped,
         cfg.duplicate_fraction,
         cfg.archetypes,
         cps(uncached_t1),
-        cps(uncached_t8),
+        cps(uncached_tn),
         cps(trie_t1),
-        cps(trie_t8),
+        cps(trie_tn),
         ts.hits,
         ts.misses,
         ts.frontiers,
@@ -2033,53 +1881,6 @@ fn p17_trie(quick: bool, gate: bool) -> String {
     )
 }
 
-/// Replace or append one top-level `"key": {...}` section of an existing
-/// report file without rerunning the other experiments. The section's
-/// object is located by brace matching (no string values in the report
-/// contain braces), removed if present, and the fresh body appended last.
-fn splice_section(existing: &str, key: &str, body: &str) -> String {
-    let mut base = existing.trim_end().to_string();
-    let needle = format!("\"{key}\"");
-    if let Some(i) = base.find(&needle) {
-        let open = base[i..].find('{').expect("malformed section") + i;
-        let mut depth = 0usize;
-        let mut end = open;
-        for (j, c) in base[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + j + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        assert!(end > open, "unbalanced braces in BENCH_replay.json");
-        // Swallow the separator comma on whichever side has one.
-        let before = base[..i].trim_end();
-        let start = if before.ends_with(',') {
-            before.len() - 1
-        } else {
-            i
-        };
-        let mut rest = base[end..].trim_start();
-        if start == i && rest.starts_with(',') {
-            rest = rest[1..].trim_start();
-        }
-        base = format!("{}{}", &base[..start], rest);
-    }
-    let i = base.rfind('}').expect("malformed BENCH_replay.json");
-    base.truncate(i);
-    let kept = base.trim_end().trim_end_matches(',').len();
-    base.truncate(kept);
-    format!("{base},\n\"{key}\": {body}\n}}\n")
-}
-
-/// Replace or append the `p14_serve` section of an existing report file
-/// without rerunning P1–P13 (the serving bench is self-contained).
 fn fig4_summary() {
     println!("## F4 — the paper's running example (Fig. 4)");
     let auditor = hospital_auditor();
@@ -2093,25 +1894,62 @@ fn fig4_summary() {
         report.preventive_violations.len()
     );
     for c in &report.cases {
-        let v = match &c.outcome {
-            CaseOutcome::Compliant { can_complete } => {
-                format!(
-                    "compliant ({})",
-                    if *can_complete {
-                        "complete"
-                    } else {
-                        "in progress"
-                    }
-                )
-            }
-            CaseOutcome::Infringement { severity, .. } => {
-                format!("INFRINGEMENT (severity {:.2})", severity.score)
-            }
-            other => format!("{other:?}"),
-        };
-        println!("  {:<6} {v}", c.case.to_string());
+        println!("  {:<6} {}", c.case.to_string(), batch_label(&c.outcome));
     }
     println!();
+}
+
+/// Put `body` under the top-level `key` of a report: in place of the
+/// record the key already holds, so every other record and the key order
+/// stay as they are, or appended last. Records are located by brace
+/// matching (no string value in the report contains a brace).
+fn splice_section(report: &str, key: &str, body: &str) -> String {
+    let needle = format!("\n\"{key}\": ");
+    if let Some(at) = report.find(&needle) {
+        let open = at + needle.len();
+        let mut depth = 0usize;
+        let close = report[open..]
+            .find(|c| {
+                match c {
+                    '{' => depth += 1,
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+                depth == 0
+            })
+            .expect("unbalanced braces in BENCH_replay.json");
+        return format!("{}{body}{}", &report[..open], &report[open + close + 1..]);
+    }
+    let end = report.rfind('}').expect("malformed BENCH_replay.json");
+    let head = report[..end].trim_end();
+    let sep = if head.ends_with('{') { "" } else { "," };
+    format!("{head}{sep}\n\"{key}\": {body}\n}}\n")
+}
+
+/// The one writer of `BENCH_replay.json`: splice each record into `base`
+/// — an empty object for a full run, the existing file for an `--only-pN`
+/// run — stamped with the run's provenance: quick or full mode, the host's
+/// available parallelism, and the commit checked out.
+fn write_report(path: &std::path::Path, base: String, records: &[(&str, String)], quick: bool) {
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    let mode = if quick { "quick" } else { "full" };
+    let json = records.iter().fold(base, |json, (key, body)| {
+        let stamped = format!(
+            "{{\n  \"mode\": \"{mode}\", \"nproc\": {}, \"commit\": \"{commit}\",{}",
+            nproc(),
+            body.strip_prefix('{').expect("a record is a JSON object")
+        );
+        splice_section(&json, key, &stamped)
+    });
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 }
 
 fn main() {
@@ -2120,26 +1958,36 @@ fn main() {
         p9_child(&argv[i + 1], &argv[i + 2]);
         return;
     }
-    let quick = argv.iter().any(|a| a == "--quick");
+    let flag = |f: &str| argv.iter().any(|a| a == f);
+    let (quick, gate) = (flag("--quick"), flag("--gate"));
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_replay.json");
-    let gate = argv.iter().any(|a| a == "--gate");
-    // Splice modes: rerun one section and replace its record in place.
-    let sections: [(&str, &str, &dyn Fn() -> String); 5] = [
-        ("--only-p13", "p13_churn", &|| p13_churn(quick)),
-        ("--only-p14", "p14_serve", &|| p14_serve(quick)),
-        ("--only-p15", "p15_durability", &|| p15_durability(quick)),
-        ("--only-p16", "p16_tracing", &|| p16_tracing(quick)),
-        ("--only-p17", "p17_trie", &|| p17_trie(quick, gate)),
+    let day = OnceCell::new();
+    let day = || day.get_or_init(|| SharedDay::new(quick));
+    // Every record, in file order. P13–P17 can rerun alone (`--only-p13` …
+    // `--only-p17`), replacing their record in the existing file.
+    let sections: [(&str, &dyn Fn() -> String); 9] = [
+        ("p8_engine_ablation", &|| p8_engine_ablation(quick)),
+        ("p9_snapshot_warm_start", &|| p9_snapshot_warm_start(quick)),
+        ("p10_degraded_mode", &|| p10_degraded_mode(quick)),
+        ("p11_observability", &|| p11_observability(quick)),
+        ("p13_churn", &|| p13_churn(day())),
+        ("p14_serve", &|| p14_serve(day(), quick)),
+        ("p15_durability", &|| p15_durability(day())),
+        ("p16_tracing", &|| p16_tracing(day(), quick)),
+        ("p17_trie", &|| p17_trie(quick, gate)),
     ];
-    if let Some((_, key, run)) = sections
-        .iter()
-        .find(|(flag, ..)| argv.iter().any(|a| a == flag))
-    {
+    let only = sections[4..].iter().find(|(key, _)| {
+        let section = key
+            .split('_')
+            .next()
+            .expect("keys start with their section");
+        flag(&format!("--only-{section}"))
+    });
+    if let Some((key, run)) = only {
         let body = run();
         let existing = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e} (run the full report first)", path.display()));
-        std::fs::write(&path, splice_section(&existing, key, &body)).expect("write report");
-        println!("wrote {}", path.display());
+        write_report(&path, existing, &[(key, body)], quick);
         return;
     }
     println!("# purpose-control experiment report\n");
@@ -2151,34 +1999,26 @@ fn main() {
     p5_petri();
     p6_or_fanout();
     p7_attack_detection();
-    let p8 = p8_engine_ablation(quick);
-    let p9 = p9_snapshot_warm_start(quick);
-    let p10 = p10_degraded_mode(quick);
-    let p11 = p11_observability(quick);
-    let p12 = p12_streaming(quick);
-    let p13 = p13_churn(quick);
-    let p14 = p14_serve(quick);
-    let p15 = p15_durability(quick);
-    let p16 = p16_tracing(quick);
-    let p17 = p17_trie(quick, gate);
-    let json = format!(
-        "{{\n\"p8_engine_ablation\": {},\n\"p9_snapshot_warm_start\": {},\n\
-         \"p10_degraded_mode\": {},\n\"p11_observability\": {},\n\
-         \"p12_streaming\": {},\n\"p13_churn\": {},\n\"p14_serve\": {},\n\
-         \"p15_durability\": {},\n\"p16_tracing\": {},\n\"p17_trie\": {}\n}}\n",
-        p8.trim_end(),
-        p9,
-        p10,
-        p11,
-        p12,
-        p13,
-        p14,
-        p15,
-        p16,
-        p17
-    );
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => println!("could not write {}: {e}", path.display()),
+    let records: Vec<_> = sections.iter().map(|(key, run)| (*key, run())).collect();
+    write_report(&path, "{\n}\n".to_string(), &records, quick);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::splice_section;
+
+    #[test]
+    fn splicing_a_record_keeps_the_key_order_and_every_other_record() {
+        let report = "{\n\"p8\": {\n  \"a\": { \"x\": 1 }\n},\n\"p9\": {\n  \"b\": 2\n},\n\
+                      \"p10\": {\n  \"c\": 3\n}\n}\n";
+        assert_eq!(
+            splice_section(report, "p9", "{\n  \"b\": { \"y\": 4 }\n}"),
+            "{\n\"p8\": {\n  \"a\": { \"x\": 1 }\n},\n\"p9\": {\n  \"b\": { \"y\": 4 }\n},\n\
+             \"p10\": {\n  \"c\": 3\n}\n}\n"
+        );
+        // A key the report lacks is appended; a full run builds its report
+        // this way from an empty object.
+        let built = splice_section(&splice_section("{\n}\n", "p8", "{}"), "p9", "{}");
+        assert_eq!(built, "{\n\"p8\": {},\n\"p9\": {}\n}\n");
     }
 }

@@ -1,7 +1,7 @@
-//! Shared setup for the benchmark harness.
+//! Shared setup for the experiment report.
 //!
-//! One helper per experiment family of `DESIGN.md` §4; the Criterion
-//! benches in `benches/` and the `report` binary both build on these.
+//! One helper per experiment family of `DESIGN.md` §4; the `report`
+//! binary builds every table on these.
 
 use audit::entry::LogEntry;
 use audit::trail::AuditTrail;

@@ -467,10 +467,8 @@ mod tests {
     fn batched_policy_syncs_every_nth_append() {
         let dir = scratch("batched");
         let mut file = DurableFile::create(&dir.join("log"), SyncPolicy::Batched(3)).unwrap();
-        let mut offset = 0u64;
-        for _ in 0..7 {
+        for offset in 0..7 {
             file.write_at(offset, b"x").unwrap();
-            offset += 1;
         }
         assert_eq!(file.stats().fsyncs, 2, "7 appends at n=3 -> 2 syncs");
         let mut always = DurableFile::create(&dir.join("log2"), SyncPolicy::Always).unwrap();

@@ -96,7 +96,9 @@ fn corruption_battery_is_fail_open() {
     let reference = replay_ht1(&fresh_healthcare());
     let good = warmed_snapshot();
 
-    let mut cases: Vec<(String, Vec<u8>, fn(&SnapshotError) -> bool)> = Vec::new();
+    // (description, corrupted bytes, accepts the expected typed error)
+    type Corruption = (String, Vec<u8>, fn(&SnapshotError) -> bool);
+    let mut cases: Vec<Corruption> = Vec::new();
 
     // Truncations: empty, mid-header, exactly the header, mid-payload,
     // one byte short.
