@@ -36,7 +36,7 @@ use purpose_control::parallel::audit_parallel;
 use purpose_control::replay::{
     check_case, check_case_with, CaseCheck, CheckOptions, Engine, Verdict,
 };
-use purpose_control::{LiveConfig, ReplayTrie, ShardedMonitor};
+use purpose_control::{LiveConfig, LiveStats, ReplayTrie, ShardedMonitor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serve::{client, ServeConfig, Server, TenantSpec};
@@ -484,7 +484,12 @@ fn p8_engine_ablation(quick: bool) -> String {
     // `check_case` with no shared trie: the uncached production step.
     let ta = median_time(|| run_all(Engine::Trie), 3);
     let (cps_d, cps_a) = (n as f64 / td.as_secs_f64(), n as f64 / ta.as_secs_f64());
-    println!("{:>10} | {:>12} | {:>12}", "engine", "100 cases", "cases/s");
+    println!(
+        "{:>10} | {:>12} | {:>12}",
+        "engine",
+        format!("{n} cases"),
+        "cases/s"
+    );
     println!("{:>10} | {:>12} | {:>12.0}", "direct", fmt_dur(td), cps_d);
     println!("{:>10} | {:>12} | {:>12.0}", "compiled", fmt_dur(ta), cps_a);
     let auto = encoded.automaton.stats();
@@ -1480,10 +1485,11 @@ fn p14_serve(day: &SharedDay, quick: bool) -> String {
     )
 }
 
-fn p15_durability(day: &SharedDay) -> String {
+fn p15_durability(day: &SharedDay, quick: bool) -> String {
     use purpose_control::SyncPolicy;
 
     println!("## P15 — fsync-policy overhead on the live churn workload");
+    let rounds = if quick { 2 } else { 3 };
     let scratch = std::env::temp_dir().join(format!("purposectl-p15-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     let policies = [
@@ -1511,60 +1517,71 @@ fn p15_durability(day: &SharedDay) -> String {
     ];
     let mut records = Vec::new();
     let mut ratios = Vec::new();
-    let mut alarms_seen = Vec::new();
+    // The first run's alarm count, and each policy's latest stats.
+    let alarms = OnceCell::new();
+    let last: [Cell<LiveStats>; 3] = Default::default();
     for (variant, mem_spill_bytes, title) in variants {
         println!("{title}");
-        let mut runs = Vec::new();
-        for (label, policy) in policies {
+        let run = |arm: usize| {
+            let (label, policy) = policies[arm];
+            let dir = scratch.join(format!("{variant}-{label}"));
+            let _ = std::fs::remove_dir_all(&dir);
             let config = LiveConfig {
                 max_open_cases: day.max_open,
-                spill_dir: Some(scratch.join(format!("{variant}-{label}"))),
+                spill_dir: Some(dir),
                 mem_spill_bytes,
                 durability: policy,
                 ..LiveConfig::default()
             };
             let (live, took) = live_run(day, &config);
             let stats = live.stats();
-            let over_batch = took / day.batch_secs;
+            // The policy buys durability, never verdicts: every run must
+            // raise the same alarms.
+            let first = *alarms.get_or_init(|| stats.alarms);
+            assert_eq!(stats.alarms, first, "fsync policy changed the alarm count");
+            last[arm].set(stats);
+            took
+        };
+        let bands = interleaved([&mut || run(0), &mut || run(1), &mut || run(2)], rounds);
+        let mut body = Vec::new();
+        for ((label, _), (band, stats)) in policies.iter().zip(bands.iter().zip(&last)) {
+            let stats = stats.get();
+            let over_batch = band.min / day.batch_secs;
             println!(
                 "  {label:<20} {} ({over_batch:.2}x batch): {} fsyncs, {} disk demotions, \
                  {} log bytes, {} alarms",
-                fmt_dur(Duration::from_secs_f64(took)),
+                band.show(),
                 stats.durable_fsyncs,
                 stats.spill_disk_demotions,
                 stats.spill_log_bytes,
                 stats.alarms,
             );
-            let json = format!(
-                "\"{label}\": {{ \"live_seconds\": {took:.6}, \
-                 \"live_over_batch\": {over_batch:.4}, \"fsyncs\": {}, \
+            body.push(format!(
+                "\"{label}\": {{ {}, \"live_over_batch\": {over_batch:.4}, \"fsyncs\": {}, \
                  \"disk_demotions\": {}, \"log_bytes\": {} }}",
-                stats.durable_fsyncs, stats.spill_disk_demotions, stats.spill_log_bytes,
-            );
-            runs.push((took, json));
-            alarms_seen.push(stats.alarms);
+                band.json(),
+                stats.durable_fsyncs,
+                stats.spill_disk_demotions,
+                stats.spill_log_bytes,
+            ));
         }
-        let body: Vec<_> = runs.iter().map(|(_, json)| json.as_str()).collect();
         records.push(format!(
             "\"{variant}\": {{\n    {}\n  }}",
             body.join(",\n    ")
         ));
-        ratios.push((variant, "batched", runs[1].0 / runs[0].0));
-        ratios.push((variant, "always", runs[2].0 / runs[0].0));
+        ratios.push((variant, "batched", bands[1].min / bands[0].min));
+        ratios.push((variant, "always", bands[2].min / bands[0].min));
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
-    // The policy buys durability, never verdicts: every run must raise
-    // the same alarms.
-    assert!(
-        alarms_seen.windows(2).all(|w| w[0] == w[1]),
-        "fsync policy changed the alarm count: {alarms_seen:?}"
-    );
     let overheads: Vec<_> = ratios
         .iter()
         .map(|(variant, policy, r)| format!("{variant} {policy} {:+.1}%", (r - 1.0) * 100.0))
         .collect();
-    println!("overhead vs never: {}", overheads.join(" | "));
+    println!(
+        "overhead vs never (minimums of {rounds} interleaved rounds): {}",
+        overheads.join(" | ")
+    );
     println!();
 
     let ratios: Vec<_> = ratios
@@ -1579,6 +1596,7 @@ fn p15_durability(day: &SharedDay) -> String {
            \"shards\": {SHARDS},\n  \
            \"max_open_cases\": {},\n  \
            \"batch_seconds\": {:.6},\n  \
+           \"rounds\": {rounds},\n  \
            {},\n  \
            {},\n  \
            \"alarms_identical_across_policies\": true\n}}",
@@ -1972,7 +1990,7 @@ fn main() {
         ("p11_observability", &|| p11_observability(quick)),
         ("p13_churn", &|| p13_churn(day())),
         ("p14_serve", &|| p14_serve(day(), quick)),
-        ("p15_durability", &|| p15_durability(day())),
+        ("p15_durability", &|| p15_durability(day(), quick)),
         ("p16_tracing", &|| p16_tracing(day(), quick)),
         ("p17_trie", &|| p17_trie(quick, gate)),
     ];

@@ -2,7 +2,7 @@
 //!
 //! * [`healthcare_treatment`] — Fig. 1, the four-pool healthcare treatment
 //!   process (GP, cardiologist, lab, radiology);
-//! * [`clinical_trial`] — Fig. 2, the physician's part of a clinical trial;
+//! * [`clinical_trial`](fn@clinical_trial) — Fig. 2, the physician's part of a clinical trial;
 //! * [`appendix`] — the four micro-processes of Appendix A (Figs. 7–10).
 //!
 //! Node and task names follow the paper; where the paper's figure is only

@@ -183,8 +183,8 @@ quarantined or errored request, appending kept span trees to
 --trace-out as JSONL (crash-atomic, --durability policy). Inspect with
 `purposectl trace --file <spans.jsonl> <trace-id>` or `--slowest N`,
 or live via GET /debug/spans. --flight-dir arms the crash flight
-recorder: a bounded in-memory ring of recent events (span opens/closes,
-queue depths, offset commits, degradations) dumped to
+recorder: a bounded in-memory ring of the last minute of events (queue
+depths, offset commits, degradations) dumped to
 <dir>/flight.jsonl on panic, SIGUSR1, ENOSPC/EIO degradation, every
 ~500ms, and at shutdown — GET /debug/flight shows the live ring.
 ";
@@ -761,9 +761,10 @@ fn cmd_audit(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
             startup.export_into(registry);
         }
         cows::semantics::cache_stats().export_into(registry);
-        registry.set_counter(
-            "recorder_events_dropped",
-            auditor.recorder.dropped() + diag.dropped(),
+        purpose_control::metrics::record_observability_metrics(
+            registry,
+            &[&auditor.recorder, &diag],
+            &obs::Tracer::noop(),
         );
         if let Some(path) = args.flag("metrics-out") {
             write_export(
@@ -1007,6 +1008,11 @@ fn cmd_watch(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
         let registry = obs::Registry::new();
         purpose_control::register_audit_metrics(&registry);
         monitor.flush_metrics(&registry);
+        purpose_control::metrics::record_observability_metrics(
+            &registry,
+            &[&diag],
+            &obs::Tracer::noop(),
+        );
         write_export(
             path,
             registry.to_json().as_bytes(),
@@ -1284,11 +1290,7 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
         obs::Tracer::noop()
     };
     if let Some(dir) = args.flag("flight-dir") {
-        obs::flight::install(
-            Some(std::path::Path::new(dir)),
-            obs::flight::DEFAULT_WINDOW_SECS,
-            obs::flight::DEFAULT_CAPACITY,
-        );
+        obs::flight::install(Some(std::path::Path::new(dir)));
         obs::flight::install_panic_hook();
         obs::flight::record(|| ObsEvent::Diagnostic {
             detail: format!("serve: flight recorder armed, dumps to {dir}/flight.jsonl"),

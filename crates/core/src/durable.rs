@@ -25,7 +25,7 @@
 //!   [`SyncPolicy::Never`] leaves flushing to the kernel).
 //!
 //! Fault injection is compiled in under `#[cfg(any(test, feature =
-//! "chaos"))]` (see [`fault`]): a seeded [`fault::FaultPlan`] scoped to a
+//! "chaos"))]` (see `fault`): a seeded `fault::FaultPlan` scoped to a
 //! directory prefix makes the N-th durable operation under that prefix
 //! fail with a short write, EIO or ENOSPC — or abort the process — so
 //! every persistence path can be driven through disk failure and must
@@ -168,7 +168,7 @@ pub fn atomic_write_sync(path: &Path, bytes: &[u8], policy: SyncPolicy) -> io::R
 pub struct DurableFileStats {
     /// `fsync` calls issued through this handle.
     pub fsyncs: u64,
-    /// Faults injected into this handle's operations ([`fault`]).
+    /// Faults injected into this handle's operations (`fault`).
     pub injected_faults: u64,
 }
 

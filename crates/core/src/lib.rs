@@ -74,7 +74,7 @@ pub use lenient::{check_case_lenient, LenientCheck, LenientOptions};
 pub use live::{ClosedCase, LiveAuditor, LiveConfig, LiveEvent, LiveStats};
 pub use metrics::{record_case_metrics, register_audit_metrics};
 pub use multitask::{multitasking_ratio, multitasking_report, MultitaskFinding};
-pub use pool::{MonitorHandle, MonitorPool};
+pub use pool::MonitorHandle;
 pub use replay::{
     check_case, check_case_traced, check_case_with, CaseCheck, CheckOptions, Configuration, Engine,
     FailPoints, Infringement, InfringementKind, Verdict,

@@ -315,7 +315,7 @@ pub struct LiveAuditor {
     /// by [`LiveAuditor::set_resident_cap`] (the sharded rebalancer).
     resident_cap: usize,
     stats: LiveStats,
-    /// Stats already pushed to a metrics shard (delta tracking for
+    /// Stats already pushed to a metrics registry (delta tracking for
     /// [`LiveAuditor::flush_stats_into`]).
     flushed: LiveStats,
     /// Request tracer ([`obs::Tracer::noop`] unless serve installed one).
@@ -323,14 +323,12 @@ pub struct LiveAuditor {
     /// Trace context for the batch currently being ingested: the request's
     /// trace id plus the parent span the spill/rehydrate spans hang off.
     trace_ctx: Option<(obs::TraceId, obs::SpanId)>,
-    /// Buffered `stage_latency_us_*` samples, drained by
-    /// [`LiveAuditor::flush_stats_into`] (hot paths never touch a registry).
-    stage_samples: Vec<(&'static str, u64)>,
+    /// Metrics recorded since the last [`LiveAuditor::flush_stats_into`]
+    /// (hot paths never touch a registry). The `stage_latency_us_*`
+    /// histograms have fixed log2 buckets: constant memory, every sample
+    /// kept.
+    metrics: obs::Shard,
 }
-
-/// Cap on buffered stage samples between metric flushes; beyond this the
-/// distribution is saturated anyway and we keep memory bounded.
-const STAGE_SAMPLE_CAP: usize = 8_192;
 
 impl LiveAuditor {
     /// A monitor with the default [`LiveConfig`].
@@ -359,7 +357,7 @@ impl LiveAuditor {
             flushed: LiveStats::default(),
             tracer: obs::Tracer::noop(),
             trace_ctx: None,
-            stage_samples: Vec::new(),
+            metrics: obs::Shard::new(),
         }
     }
 
@@ -376,13 +374,11 @@ impl LiveAuditor {
         self.trace_ctx = ctx;
     }
 
-    /// Record one stage latency sample (bounded buffer; drained at flush)
-    /// and, when tracing this batch, close a span for it.
+    /// Record one stage latency sample (moved out at flush) and, when
+    /// tracing this batch, close a span for it.
     fn record_stage(&mut self, stage: obs::Stage, start: std::time::Instant, case: Symbol) {
         let us = start.elapsed().as_micros() as u64;
-        if self.stage_samples.len() < STAGE_SAMPLE_CAP {
-            self.stage_samples.push((stage.histogram_name(), us));
-        }
+        self.metrics.observe(stage.histogram_name(), us);
         if let Some((trace, parent)) = self.trace_ctx {
             if self.tracer.enabled() {
                 let mut open = self.tracer.begin(trace, Some(parent), stage);
@@ -1060,17 +1056,15 @@ impl LiveAuditor {
         Ok((monitor, ckpt.stream_offset))
     }
 
-    /// Push counter deltas since the last flush into an `obs` shard —
-    /// the same one-lock-per-worker pattern as `audit_parallel`. Repeated
-    /// flushes never double-count: only growth since the previous flush is
-    /// recorded.
-    pub fn flush_stats_into(&mut self, shard: &mut obs::Shard) {
+    /// Merge counter deltas and stage latencies since the last flush into
+    /// `registry` — one lock per monitor, the same pattern as
+    /// `audit_parallel`. Repeated flushes never double-count: only growth
+    /// since the previous flush is recorded.
+    pub fn flush_stats_into(&mut self, registry: &obs::Registry) {
         let s = self.stats();
-        crate::metrics::record_live_metrics(shard, &s.minus(&self.flushed));
+        crate::metrics::record_live_metrics(&mut self.metrics, &s.minus(&self.flushed));
         self.flushed = s;
-        for (name, us) in self.stage_samples.drain(..) {
-            shard.observe(name, us);
-        }
+        self.metrics.flush(registry);
     }
 }
 
@@ -1452,6 +1446,40 @@ mod tests {
         }
         monitor.retire_completed();
         assert_eq!(monitor.stats().retired, 2);
+    }
+
+    #[test]
+    fn stage_latency_keeps_every_sample_between_flushes() {
+        // One resident slot and a fresh case per entry: every entry after
+        // the first evicts, so one flush window sees more spills than any
+        // fixed sample buffer of 8,192 would hold.
+        let first = figure4_trail().project_case(sym("HT-1"))[0].clone();
+        let config = LiveConfig {
+            max_open_cases: 1,
+            ..LiveConfig::default()
+        };
+        let mut monitor = LiveAuditor::with_config(auditor(), config);
+        for i in 0..8_300 {
+            let entry = LogEntry {
+                case: sym(&format!("HT-s{i}")),
+                ..first.clone()
+            };
+            monitor.observe(&entry).unwrap();
+        }
+        let evictions = monitor.stats().evictions;
+        assert!(evictions > 8_192, "{evictions} evictions");
+        let registry = obs::Registry::new();
+        monitor.flush_stats_into(&registry);
+        assert_eq!(
+            registry.histogram("stage_latency_us_spill").count,
+            evictions
+        );
+        // A second flush adds nothing that was already exported.
+        monitor.flush_stats_into(&registry);
+        assert_eq!(
+            registry.histogram("stage_latency_us_spill").count,
+            evictions
+        );
     }
 
     #[test]

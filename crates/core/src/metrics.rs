@@ -50,7 +50,6 @@ pub const AUDIT_COUNTERS: &[&str] = &[
     "live_spilled_bytes_total",
     "live_unresolved_total",
     "obs_events_dropped",
-    "recorder_events_dropped",
     "semantics_cache_evictions",
     "semantics_cache_hits",
     "semantics_cache_misses",
@@ -162,21 +161,20 @@ pub fn record_live_metrics(shard: &mut Shard, delta: &crate::live::LiveStats) {
     );
 }
 
-/// Export the observability layer's own loss and volume counters. The
-/// `obs_events_dropped` aggregate (recorder ring + flight-recorder ring +
-/// tracer finished-ring evictions) is the first-class signal that the
-/// telemetry itself lost data — silent drops were previously invisible.
+/// Export the observability layer's own loss and volume counters.
+/// `obs_events_dropped` is the one drop counter: capacity evictions from
+/// the caller's `recorders`, the flight-recorder ring and the tracer's
+/// undrained span trees — the first-class signal that the telemetry
+/// itself lost data.
 pub fn record_observability_metrics(
     registry: &Registry,
-    recorder: &obs::Recorder,
+    recorders: &[&obs::Recorder],
     tracer: &obs::Tracer,
 ) {
+    let dropped = recorders.iter().map(|r| r.dropped()).sum::<u64>();
     registry.set_counter(
         "obs_events_dropped",
-        recorder
-            .dropped()
-            .saturating_add(obs::flight::dropped())
-            .saturating_add(tracer.dropped()),
+        dropped + obs::flight::dropped() + tracer.dropped(),
     );
     registry.set_counter("trace_spans_total", tracer.spans_total());
     registry.set_counter("trace_traces_kept", tracer.traces_kept());
@@ -229,7 +227,7 @@ mod tests {
 
         let reg = Registry::new();
         register_audit_metrics(&reg);
-        record_observability_metrics(&reg, &recorder, &obs::Tracer::noop());
+        record_observability_metrics(&reg, &[&recorder], &obs::Tracer::noop());
         assert!(
             reg.counter_value("obs_events_dropped") >= 5,
             "ring drops must surface in the closed vocabulary (flight ring \

@@ -8,9 +8,8 @@
 //! checkpoints — so it needs a shared handle with interior locking.
 //! [`MonitorHandle`] is that handle: a clonable `Arc<Mutex<_>>` newtype
 //! whose methods scope the lock to one monitor operation, so no caller can
-//! hold it across I/O. [`MonitorPool`] names many handles (one per
-//! tenant/purpose universe) and provides the whole-pool operations a
-//! daemon needs at checkpoint time.
+//! hold it across I/O. The service keeps one handle per tenant in its own
+//! tenant map.
 
 use crate::error::CheckError;
 use crate::live::{ClosedCase, LiveStats};
@@ -19,7 +18,6 @@ use crate::sharded::ShardedMonitor;
 use audit::entry::LogEntry;
 use cows::symbol::Symbol;
 use obs::Registry;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// A clonable, lock-scoped handle to one [`ShardedMonitor`].
@@ -118,67 +116,6 @@ impl MonitorHandle {
     }
 }
 
-/// `(name, checkpoint bytes)` per tenant, or the first failing tenant.
-pub type CheckpointAllResult = Result<Vec<(String, Vec<u8>)>, (String, CheckError)>;
-
-/// Named monitors — one per tenant — with whole-pool operations.
-#[derive(Default)]
-pub struct MonitorPool {
-    tenants: BTreeMap<String, MonitorHandle>,
-}
-
-impl MonitorPool {
-    pub fn new() -> MonitorPool {
-        MonitorPool::default()
-    }
-
-    /// Register a tenant's monitor. Returns the previous handle if the
-    /// name was already taken (callers treat that as a config error).
-    pub fn insert(
-        &mut self,
-        name: impl Into<String>,
-        monitor: ShardedMonitor,
-    ) -> Option<MonitorHandle> {
-        self.tenants
-            .insert(name.into(), MonitorHandle::new(monitor))
-    }
-
-    pub fn get(&self, name: &str) -> Option<&MonitorHandle> {
-        self.tenants.get(name)
-    }
-
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.tenants.keys().map(String::as_str)
-    }
-
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tenants.is_empty()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &MonitorHandle)> {
-        self.tenants.iter().map(|(n, h)| (n.as_str(), h))
-    }
-
-    /// Checkpoint every tenant with its own stream offset (looked up by
-    /// name; missing names default to 0). Returns `(name, bytes)` pairs
-    /// in name order, or the first failure.
-    pub fn checkpoint_all(&self, offsets: &BTreeMap<String, u64>) -> CheckpointAllResult {
-        let mut out = Vec::with_capacity(self.tenants.len());
-        for (name, handle) in &self.tenants {
-            let offset = offsets.get(name).copied().unwrap_or(0);
-            match handle.checkpoint(offset) {
-                Ok(bytes) => out.push((name.clone(), bytes)),
-                Err(e) => return Err((name.clone(), e)),
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,40 +161,19 @@ mod tests {
     }
 
     #[test]
-    fn pool_names_and_checkpoints_every_tenant() {
-        let mut pool = MonitorPool::new();
-        assert!(pool.insert("clinic", monitor()).is_none());
-        assert!(pool.insert("trial", monitor()).is_none());
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.names().collect::<Vec<_>>(), vec!["clinic", "trial"]);
-
+    fn handle_checkpoint_restores_at_its_offset() {
+        let handle = MonitorHandle::new(monitor());
         let trail = figure4_trail();
-        pool.get("clinic").unwrap().ingest(trail.entries()).unwrap();
-
-        let mut offsets = BTreeMap::new();
-        offsets.insert("clinic".to_string(), trail.len() as u64);
-        let blobs = pool.checkpoint_all(&offsets).unwrap();
-        assert_eq!(blobs.len(), 2);
-        assert_eq!(blobs[0].0, "clinic");
-        // Each blob restores independently with the recorded offset.
+        handle.ingest(trail.entries()).unwrap();
+        let bytes = handle.checkpoint(trail.len() as u64).unwrap();
         let (restored, offset) =
-            ShardedMonitor::restore(auditor(), &LiveConfig::default(), 2, &blobs[0].1).unwrap();
+            ShardedMonitor::restore(auditor(), &LiveConfig::default(), 2, &bytes).unwrap();
         assert_eq!(offset, trail.len() as u64);
-        assert_eq!(
-            restored.tracked_cases(),
-            pool.get("clinic").unwrap().tracked_cases()
-        );
-        // The untouched tenant checkpoints at offset 0.
+        assert_eq!(restored.tracked_cases(), handle.tracked_cases());
+        // An untouched monitor checkpoints and restores at offset 0.
+        let bytes = MonitorHandle::new(monitor()).checkpoint(0).unwrap();
         let (_, offset) =
-            ShardedMonitor::restore(auditor(), &LiveConfig::default(), 2, &blobs[1].1).unwrap();
+            ShardedMonitor::restore(auditor(), &LiveConfig::default(), 2, &bytes).unwrap();
         assert_eq!(offset, 0);
-    }
-
-    #[test]
-    fn duplicate_insert_returns_previous_handle() {
-        let mut pool = MonitorPool::new();
-        assert!(pool.insert("t", monitor()).is_none());
-        assert!(pool.insert("t", monitor()).is_some());
-        assert_eq!(pool.len(), 1);
     }
 }

@@ -844,7 +844,7 @@ impl SessionCore {
     /// The ids must come from this run's shared automaton (which only ever
     /// grows, so any id this process issued stays valid); an out-of-range
     /// id is rejected as a checkpoint error rather than trusted. Under the
-    /// compiled engine `successors_traced` restores the [`PRE_EXPANDED`]
+    /// compiled engine `successors_traced` restores the `PRE_EXPANDED`
     /// invariant: a cache hit for an id this run evicted, a compile for one
     /// a restore just interned. Under the direct engine `weak_next` is
     /// recomputed. Neither counts toward `explored`:

@@ -145,7 +145,7 @@ impl ShardedMonitor {
     /// idle shard can still admit without immediately thrashing.
     ///
     /// [`ShardedMonitor::ingest`] calls this automatically every
-    /// [`REBALANCE_EVERY`] entries; it is public for drivers that feed
+    /// `REBALANCE_EVERY` entries; it is public for callers that feed
     /// entries through [`ShardedMonitor::observe`] one at a time.
     pub fn rebalance_caps(&mut self) -> Result<(), CheckError> {
         let n = self.shards.len();
@@ -278,14 +278,12 @@ impl ShardedMonitor {
         Ok(evicted)
     }
 
-    /// Flush per-shard counter deltas into `registry` (one obs shard per
-    /// monitor shard, one registry merge each — the `audit_parallel`
-    /// discipline) and set the `live_open_cases` occupancy gauge once.
+    /// Flush per-shard counter deltas into `registry` (one registry merge
+    /// per monitor shard — the `audit_parallel` discipline) and set the
+    /// `live_open_cases` occupancy gauge once.
     pub fn flush_metrics(&mut self, registry: &Registry) {
         for s in &mut self.shards {
-            let mut obs_shard = registry.shard();
-            s.flush_stats_into(&mut obs_shard);
-            obs_shard.flush(registry);
+            s.flush_stats_into(registry);
         }
         // The rebalance counter lives on the monitor, not a shard; same
         // delta discipline.

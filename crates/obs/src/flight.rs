@@ -1,7 +1,8 @@
 //! The crash flight recorder: a process-global black box.
 //!
-//! A bounded in-memory ring of [`TimedEvent`]s covering the last N seconds
-//! of activity, dumped as JSON lines (`<dir>/flight.jsonl`, schema
+//! A retention and dump policy over one [`Recorder`]: while armed, the
+//! process keeps the last minute of activity (at most 16 384 events) and
+//! dumps it as JSON lines (`<dir>/flight.jsonl`, schema
 //! `schemas/flight.schema.json`) when something goes wrong: the panic
 //! hook, SIGUSR1, the typed ENOSPC/EIO degradation paths in the live
 //! monitor, or a periodic persistence tick that keeps the last dump on
@@ -18,102 +19,71 @@
 //! dir-fsync, hand-rolled): `obs` sits below `core` in the crate graph,
 //! so it cannot reuse `core::durable`.
 
-use crate::recorder::{ObsEvent, TimedEvent};
-use std::collections::VecDeque;
+use crate::recorder::{ObsEvent, Recorder, TimedEvent};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
-/// Default ring capacity: at one event per batch plus lifecycle noise this
-/// covers minutes of serving, bounded to a few MiB worst case.
-pub const DEFAULT_CAPACITY: usize = 16_384;
+/// Ring capacity: at one event per batch plus lifecycle noise this covers
+/// minutes of serving, bounded to a few MiB worst case.
+const CAPACITY: usize = 16_384;
 
-/// Default recording window in seconds ("the last N seconds of activity").
-pub const DEFAULT_WINDOW_SECS: u64 = 60;
+/// Recording window ("the last N seconds of activity").
+const WINDOW: Duration = Duration::from_secs(60);
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-static INNER: Mutex<Option<FlightInner>> = Mutex::new(None);
+static ARMED: AtomicBool = AtomicBool::new(false);
+static FLIGHT: Mutex<Flight> = Mutex::new(Flight {
+    ring: Recorder::noop(),
+    dir: None,
+});
 
-struct FlightInner {
-    anchor: Instant,
-    window_us: u64,
-    capacity: usize,
-    ring: VecDeque<TimedEvent>,
+#[derive(Default)]
+struct Flight {
+    ring: Recorder,
     dir: Option<PathBuf>,
 }
 
-fn inner() -> std::sync::MutexGuard<'static, Option<FlightInner>> {
-    INNER.lock().unwrap_or_else(|p| p.into_inner())
+fn flight() -> MutexGuard<'static, Flight> {
+    FLIGHT.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Install (or reconfigure) the process flight recorder. `dir` is where
-/// [`dump`] writes `flight.jsonl`; `None` keeps the ring in memory only
-/// (dumps return `None`). Resets the ring and the drop counter.
-pub fn install(dir: Option<&Path>, window_secs: u64, capacity: usize) {
-    let mut guard = inner();
-    *guard = Some(FlightInner {
-        anchor: Instant::now(),
-        window_us: window_secs.saturating_mul(1_000_000),
-        capacity: capacity.max(1),
-        ring: VecDeque::new(),
+/// Arm (or re-arm) the process flight recorder with a fresh ring. `dir` is
+/// where [`dump`] writes `flight.jsonl`; `None` keeps the ring in memory
+/// only (dumps return `None`).
+pub fn install(dir: Option<&Path>) {
+    *flight() = Flight {
+        ring: Recorder::bounded(CAPACITY, Some(WINDOW)),
         dir: dir.map(Path::to_path_buf),
-    });
-    DROPPED.store(0, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
+    };
+    ARMED.store(true, Ordering::Relaxed);
 }
 
-/// Tear down the recorder (tests). Subsequent [`record`] calls are no-ops.
+/// Disarm the recorder (tests). Subsequent [`record`] calls are no-ops.
 pub fn uninstall() {
-    ENABLED.store(false, Ordering::Relaxed);
-    *inner() = None;
+    ARMED.store(false, Ordering::Relaxed);
+    *flight() = Flight::default();
 }
 
 #[inline]
 pub fn installed() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ARMED.load(Ordering::Relaxed)
 }
 
-/// Events evicted for capacity (window expiry is not counted — aging out
-/// is the design, overflowing is data loss).
+/// Events the ring evicted for capacity since it was armed.
 pub fn dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
+    flight().ring.dropped()
 }
 
 /// Record an event. The closure only runs when the recorder is installed,
 /// so the uninstalled fast path is one atomic load.
 #[inline]
 pub fn record(f: impl FnOnce() -> ObsEvent) {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !ARMED.load(Ordering::Relaxed) {
         return;
     }
     let event = f();
-    let mut guard = inner();
-    let Some(inner) = guard.as_mut() else { return };
-    let micros = inner.anchor.elapsed().as_micros() as u64;
-    if inner.ring.len() >= inner.capacity {
-        inner.ring.pop_front();
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-    }
-    let horizon = micros.saturating_sub(inner.window_us);
-    while inner.ring.front().is_some_and(|e| e.micros < horizon) {
-        inner.ring.pop_front();
-    }
-    inner.ring.push_back(TimedEvent { micros, event });
-}
-
-/// Snapshot the ring (oldest first), trimmed to the recording window.
-pub fn snapshot() -> Vec<TimedEvent> {
-    let mut guard = inner();
-    let Some(inner) = guard.as_mut() else {
-        return Vec::new();
-    };
-    let horizon = (inner.anchor.elapsed().as_micros() as u64).saturating_sub(inner.window_us);
-    while inner.ring.front().is_some_and(|e| e.micros < horizon) {
-        inner.ring.pop_front();
-    }
-    inner.ring.iter().cloned().collect()
+    flight().ring.emit(|| event);
 }
 
 /// Typed extra fields for the event kinds a postmortem cross-references
@@ -129,31 +99,22 @@ fn extras(event: &ObsEvent) -> String {
             ",\"tenant\":{},\"depth\":{depth}",
             crate::json::escape(tenant)
         ),
-        ObsEvent::SpanOpen { trace, stage } | ObsEvent::SpanClose { trace, stage, .. } => {
-            format!(",\"trace\":\"{trace:016x}\",\"stage\":\"{stage}\"")
-        }
         _ => String::new(),
     }
 }
 
-fn event_line(e: &TimedEvent) -> String {
-    format!(
-        "{{\"t_us\":{},\"kind\":\"{}\",\"detail\":{}{}}}",
-        e.micros,
-        e.event.kind(),
-        crate::json::escape(&e.event.to_string()),
-        extras(&e.event)
-    )
-}
-
-/// Render the current ring as `flight.jsonl` content: one JSON line per
-/// event plus a trailing `FlightDump` marker naming the dump reason.
-pub fn dump_lines(reason: &str) -> String {
-    let events = snapshot();
+/// Render events as `flight.jsonl` content: one JSON line per event plus
+/// a trailing `FlightDump` marker naming the dump reason.
+fn render(events: &[TimedEvent], reason: &str) -> String {
     let mut s = String::with_capacity(events.len() * 96 + 64);
-    for e in &events {
-        s.push_str(&event_line(e));
-        s.push('\n');
+    for e in events {
+        s.push_str(&format!(
+            "{{\"t_us\":{},\"kind\":\"{}\",\"detail\":{}{}}}\n",
+            e.micros,
+            e.event.kind(),
+            crate::json::escape(&e.event.to_string()),
+            extras(&e.event)
+        ));
     }
     let t_us = events.last().map(|e| e.micros).unwrap_or(0);
     s.push_str(&format!(
@@ -163,17 +124,27 @@ pub fn dump_lines(reason: &str) -> String {
     s
 }
 
+/// The current ring (oldest first, within the window) as `flight.jsonl`
+/// content.
+pub fn dump_lines(reason: &str) -> String {
+    let events = flight().ring.events();
+    render(&events, reason)
+}
+
 /// Crash-atomically write the ring to `<dir>/flight.jsonl` (temp file →
 /// fsync → rename → dir-fsync). Returns the path, or `None` when the
 /// recorder is uninstalled or has no dump directory. Never panics — a
 /// flight dump running *inside* the panic hook must not double-panic.
 pub fn dump(reason: &str) -> Option<PathBuf> {
-    let dir = inner().as_ref()?.dir.clone()?;
-    let lines = dump_lines(reason);
+    let dir = flight().dir.clone()?;
+    write_dump(&dir, &dump_lines(reason))
+}
+
+fn write_dump(dir: &Path, lines: &str) -> Option<PathBuf> {
     let path = dir.join("flight.jsonl");
     let tmp = dir.join(".flight.jsonl.tmp");
     let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(&dir)?;
+        std::fs::create_dir_all(dir)?;
         {
             use std::io::Write as _;
             let mut f = std::fs::File::create(&tmp)?;
@@ -182,7 +153,7 @@ pub fn dump(reason: &str) -> Option<PathBuf> {
         }
         std::fs::rename(&tmp, &path)?;
         #[cfg(unix)]
-        if let Ok(d) = std::fs::File::open(&dir) {
+        if let Ok(d) = std::fs::File::open(dir) {
             let _ = d.sync_all();
         }
         Ok(())
@@ -237,29 +208,27 @@ mod tests {
             ObsEvent::Diagnostic { detail: "x".into() }
         });
         assert!(!ran);
-        assert!(snapshot().is_empty());
+        assert!(flight().ring.events().is_empty());
         assert!(dump("test").is_none());
     }
 
     #[test]
     fn ring_bounds_and_dump_round_trip() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let dir = scratch("dump");
-        install(Some(&dir), 3600, 8);
+        let ring = Recorder::with_capacity(8);
         for i in 0..12u64 {
-            record(|| ObsEvent::OffsetCommit {
+            ring.emit(|| ObsEvent::OffsetCommit {
                 tenant: "demo".into(),
                 offset: i,
             });
         }
-        assert_eq!(dropped(), 4);
-        let events = snapshot();
-        assert_eq!(events.len(), 8);
-        record(|| ObsEvent::QueueDepth {
+        assert_eq!(ring.dropped(), 4);
+        assert_eq!(ring.events().len(), 8);
+        ring.emit(|| ObsEvent::QueueDepth {
             tenant: "demo".into(),
             depth: 3,
         });
-        let path = dump("test").expect("dump path");
+        let path = write_dump(&dir, &render(&ring.events(), "test")).expect("dump path");
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         // 8 ring events (one evicted by the QueueDepth push) + marker.
@@ -279,20 +248,6 @@ mod tests {
             Some(11.0)
         );
         assert!(text.contains("\"FlightDump\""));
-        uninstall();
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn window_expiry_is_not_a_drop() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        install(None, 0, 1024); // zero-second window: everything ages out
-        record(|| ObsEvent::Diagnostic { detail: "a".into() });
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        record(|| ObsEvent::Diagnostic { detail: "b".into() });
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(snapshot().is_empty());
-        assert_eq!(dropped(), 0);
-        uninstall();
     }
 }

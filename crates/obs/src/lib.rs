@@ -10,10 +10,12 @@
 //!   thread-owned [`metrics::Shard`]s and merge into the shared
 //!   [`metrics::Registry`] at join, so the §7 parallel workers never take a
 //!   lock per case. Exposition as stable JSON and Prometheus text.
-//! * [`recorder`] — a lightweight span/event recorder: enum-tagged
-//!   [`recorder::ObsEvent`]s with monotonic timestamps in a bounded ring
-//!   buffer. [`recorder::Recorder::noop()`] is a `None` behind an `Option`;
-//!   disabled recording costs one branch and no event construction.
+//! * [`recorder`] — the crate's one bounded event ring: enum-tagged
+//!   [`recorder::ObsEvent`]s with monotonic timestamps, evicting the
+//!   oldest at capacity into one drop counter, with an optional age
+//!   window. [`recorder::Recorder::noop()`] is a `None` behind an
+//!   `Option`; disabled recording costs one branch and no event
+//!   construction.
 //! * [`evidence`] — the per-case evidence trace: the sequence of
 //!   configurations the replay walked (matched label, active tasks, token
 //!   tasks, `WeakNext` frontier size per step) and the exact entry that
@@ -25,10 +27,12 @@
 //! * [`span`] — request-scoped tracing: lock-free [`span::TraceId`] /
 //!   [`span::SpanId`] allocation, per-stage timed spans, and tail-based
 //!   sampling ([`span::Tracer`]) that keeps slow/alarmed traces and a
-//!   configurable fraction of the rest as JSONL span trees.
-//! * [`flight`] — the crash flight recorder: a process-global bounded ring
-//!   of [`recorder::ObsEvent`]s covering the last N seconds, dumped to
-//!   `flight.jsonl` on panic, SIGUSR1, or storage degradation.
+//!   configurable fraction of the rest as JSONL span trees, buffered in
+//!   two [`Recorder`] rings until drained.
+//! * [`flight`] — the crash flight recorder: a retention and dump policy
+//!   over one process-global [`Recorder`] (the last 60 s, at most 16 384
+//!   events), dumped to `flight.jsonl` on panic, SIGUSR1, or storage
+//!   degradation.
 //!
 //! The crate deliberately depends on `std` alone so every other crate in
 //! the workspace (including `cows` at the bottom of the graph) can thread

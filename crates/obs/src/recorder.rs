@@ -1,22 +1,28 @@
-//! The span/event recorder.
+//! The bounded event ring — the only one in `obs`.
 //!
 //! A [`Recorder`] is an `Option<Arc<RecorderInner>>` in a trenchcoat:
 //! [`Recorder::noop()`] is `None`, so disabled recording costs a single
 //! branch — the event value is never even constructed because [`emit`]
 //! takes a closure. An enabled recorder appends [`TimedEvent`]s to a
-//! bounded ring buffer (oldest events are dropped, with a counter, so a
-//! 20k-entry day cannot OOM the auditor).
+//! bounded ring buffer: at capacity the oldest event is dropped and
+//! counted, so a 20k-entry day cannot OOM the auditor. A ring built with
+//! an age window ([`Recorder::bounded`]) also expires events older than
+//! the window; aging out is the retention policy, not data loss, so it is
+//! not counted.
 //!
 //! Events are enum-tagged ([`ObsEvent`]) rather than free-form strings so
 //! the CLI renders them through one consistent `--verbose` path, and so
-//! tests can match on structure instead of scraping text.
+//! tests can match on structure instead of scraping text. The ring is
+//! generic over its event type: the crash flight recorder
+//! ([`crate::flight`]) is one windowed `Recorder`, and the tracer
+//! ([`crate::span`]) buffers its kept span trees in two more.
 //!
 //! [`emit`]: Recorder::emit
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Default ring capacity: enough for a full hospital-day audit at one
 /// event per entry plus lifecycle events, small enough to stay cheap.
@@ -68,15 +74,6 @@ pub enum ObsEvent {
     QuarantineReport { path: String },
     /// Free-form diagnostic that has no structured variant (kept rare).
     Diagnostic { detail: String },
-    /// A tracing span was opened (flight-recorder context for postmortems;
-    /// the span registry itself lives in `obs::span`).
-    SpanOpen { trace: u64, stage: &'static str },
-    /// A tracing span closed after `dur_us` microseconds.
-    SpanClose {
-        trace: u64,
-        stage: &'static str,
-        dur_us: u64,
-    },
     /// A tenant ingest-queue depth snapshot.
     QueueDepth { tenant: String, depth: u64 },
     /// A tenant worker finished a batch: the tenant's audited stream
@@ -103,8 +100,6 @@ impl ObsEvent {
             ObsEvent::Noted { .. } => "Noted",
             ObsEvent::QuarantineReport { .. } => "QuarantineReport",
             ObsEvent::Diagnostic { .. } => "Diagnostic",
-            ObsEvent::SpanOpen { .. } => "SpanOpen",
-            ObsEvent::SpanClose { .. } => "SpanClose",
             ObsEvent::QueueDepth { .. } => "QueueDepth",
             ObsEvent::OffsetCommit { .. } => "OffsetCommit",
         }
@@ -161,14 +156,6 @@ impl std::fmt::Display for ObsEvent {
                 write!(f, "quarantine report written to {path}")
             }
             ObsEvent::Diagnostic { detail } => write!(f, "{detail}"),
-            ObsEvent::SpanOpen { trace, stage } => {
-                write!(f, "span open {stage} trace {trace:016x}")
-            }
-            ObsEvent::SpanClose {
-                trace,
-                stage,
-                dur_us,
-            } => write!(f, "span close {stage} trace {trace:016x} ({dur_us}us)"),
             ObsEvent::QueueDepth { tenant, depth } => {
                 write!(f, "tenant {tenant}: queue depth {depth}")
             }
@@ -183,52 +170,62 @@ impl std::fmt::Display for ObsEvent {
 /// (monotonic — `Instant`-based, never wall clock, so traces built from
 /// events stay deterministic when timestamps are excluded).
 #[derive(Clone, Debug)]
-pub struct TimedEvent {
+pub struct TimedEvent<E = ObsEvent> {
     pub micros: u64,
-    pub event: ObsEvent,
+    pub event: E,
 }
 
-struct RecorderInner {
+struct RecorderInner<E> {
     anchor: Instant,
     capacity: usize,
-    ring: Mutex<VecDeque<TimedEvent>>,
+    /// Events older than this many microseconds expire (`u64::MAX`: never).
+    window_us: u64,
+    ring: Mutex<VecDeque<TimedEvent<E>>>,
     dropped: AtomicU64,
 }
 
-impl RecorderInner {
-    /// Lock the ring, recovering from poisoning. A worker that panics
-    /// while holding the lock (the exact fault `catch_unwind` case
-    /// isolation contains) must not take every sibling's telemetry down
-    /// with it — the ring holds plain event values, so the data is
-    /// coherent even after a mid-`emit` panic.
-    fn ring(&self) -> std::sync::MutexGuard<'_, VecDeque<TimedEvent>> {
-        self.ring
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+impl<E> RecorderInner<E> {
+    fn now_us(&self) -> u64 {
+        self.anchor.elapsed().as_micros() as u64
+    }
+
+    /// Lock the ring as of `now_us`, expiring what aged out of the window.
+    /// Poisoning is recovered from: a worker that panics while holding the
+    /// lock (the exact fault `catch_unwind` case isolation contains) must
+    /// not take every sibling's telemetry down with it — the ring holds
+    /// plain event values, so the data is coherent even after a mid-`emit`
+    /// panic.
+    fn ring(&self, now_us: u64) -> MutexGuard<'_, VecDeque<TimedEvent<E>>> {
+        let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
+        let horizon = now_us.saturating_sub(self.window_us);
+        while ring.front().is_some_and(|e| e.micros < horizon) {
+            ring.pop_front();
+        }
+        ring
     }
 }
 
 /// Handle to the event ring. Cloning shares the buffer.
 #[derive(Clone)]
-pub struct Recorder(Option<Arc<RecorderInner>>);
+pub struct Recorder<E = ObsEvent>(Option<Arc<RecorderInner<E>>>);
 
-impl std::fmt::Debug for Recorder {
+impl<E> std::fmt::Debug for Recorder<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.0 {
             None => f.write_str("Recorder::noop"),
             Some(inner) => f
                 .debug_struct("Recorder")
                 .field("capacity", &inner.capacity)
-                .field("len", &inner.ring().len())
+                .field("len", &inner.ring(inner.now_us()).len())
                 .field("dropped", &inner.dropped.load(Ordering::Relaxed))
                 .finish(),
         }
     }
 }
 
-impl Default for Recorder {
+impl<E> Default for Recorder<E> {
     fn default() -> Self {
-        Recorder::noop()
+        Recorder(None)
     }
 }
 
@@ -245,9 +242,18 @@ impl Recorder {
     }
 
     pub fn with_capacity(capacity: usize) -> Recorder {
+        Recorder::bounded(capacity, None)
+    }
+}
+
+impl<E> Recorder<E> {
+    /// An enabled ring of at most `capacity` events; with a `window`,
+    /// events older than it expire without counting as drops.
+    pub fn bounded(capacity: usize, window: Option<Duration>) -> Recorder<E> {
         Recorder(Some(Arc::new(RecorderInner {
             anchor: Instant::now(),
             capacity: capacity.max(1),
+            window_us: window.map_or(u64::MAX, |w| w.as_micros() as u64),
             ring: Mutex::new(VecDeque::new()),
             dropped: AtomicU64::new(0),
         })))
@@ -262,11 +268,11 @@ impl Recorder {
     /// enabled, so a noop recorder never pays for event construction
     /// (string formatting, clones) on the hot path.
     #[inline]
-    pub fn emit(&self, f: impl FnOnce() -> ObsEvent) {
+    pub fn emit(&self, f: impl FnOnce() -> E) {
         if let Some(inner) = &self.0 {
             let event = f();
-            let micros = inner.anchor.elapsed().as_micros() as u64;
-            let mut ring = inner.ring();
+            let micros = inner.now_us();
+            let mut ring = inner.ring(micros);
             if ring.len() >= inner.capacity {
                 ring.pop_front();
                 inner.dropped.fetch_add(1, Ordering::Relaxed);
@@ -276,18 +282,21 @@ impl Recorder {
     }
 
     /// Drain all buffered events (oldest first), leaving the ring empty.
-    pub fn drain(&self) -> Vec<TimedEvent> {
+    pub fn drain(&self) -> Vec<TimedEvent<E>> {
         match &self.0 {
             None => Vec::new(),
-            Some(inner) => inner.ring().drain(..).collect(),
+            Some(inner) => inner.ring(inner.now_us()).drain(..).collect(),
         }
     }
 
-    /// Snapshot the buffered events without draining.
-    pub fn events(&self) -> Vec<TimedEvent> {
+    /// Snapshot the buffered events (oldest first) without draining.
+    pub fn events(&self) -> Vec<TimedEvent<E>>
+    where
+        E: Clone,
+    {
         match &self.0 {
             None => Vec::new(),
-            Some(inner) => inner.ring().iter().cloned().collect(),
+            Some(inner) => inner.ring(inner.now_us()).iter().cloned().collect(),
         }
     }
 
@@ -391,6 +400,18 @@ mod tests {
             ObsEvent::Diagnostic { detail } => assert_eq!(detail, "after"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn window_expiry_is_not_a_drop() {
+        // Zero-length window: everything ages out.
+        let r = Recorder::bounded(1024, Some(Duration::ZERO));
+        r.emit(|| ObsEvent::Diagnostic { detail: "a".into() });
+        std::thread::sleep(Duration::from_millis(2));
+        r.emit(|| ObsEvent::Diagnostic { detail: "b".into() });
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(r.events().is_empty());
+        assert_eq!(r.dropped(), 0);
     }
 
     #[test]

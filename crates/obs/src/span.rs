@@ -14,15 +14,16 @@
 //! [`Tracer::force_keep`] marks (alarms, quarantines) are known. A kept
 //! trace becomes a [`TraceTree`] — one JSON line of parent-linked spans —
 //! queued for the owner to [`Tracer::drain`] into a spans file and
-//! mirrored into a small `recent` ring for the `/debug/spans` endpoint.
+//! mirrored for the `/debug/spans` endpoint; both queues are bounded
+//! [`Recorder`] rings.
 //!
 //! Spans are deliberately dumb data: [`OpenSpan`] is `Copy` and carries
 //! its start as microseconds-since-anchor, so a span opened on the HTTP
 //! thread (queue admission) can be closed by the tenant worker thread
 //! that dequeues the batch.
 
+use crate::recorder::Recorder;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -249,27 +250,20 @@ struct TracerInner {
     ids: AtomicU64,
     id_seed: u64,
     pending: Mutex<HashMap<u64, PendingTrace>>,
-    finished: Mutex<VecDeque<TraceTree>>,
-    recent: Mutex<VecDeque<TraceTree>>,
+    /// Kept trees awaiting [`Tracer::drain`]; its drops are lost traces.
+    finished: Recorder<TraceTree>,
+    /// Kept trees mirrored for [`Tracer::recent`]; evictions are expected.
+    recent: Recorder<TraceTree>,
     spans_total: AtomicU64,
     traces_started: AtomicU64,
     traces_kept: AtomicU64,
-    traces_dropped: AtomicU64,
 }
 
 impl TracerInner {
-    /// Poison-tolerant locks, same rationale as the recorder ring: a
+    /// Poison-tolerant lock, same rationale as the recorder ring: a
     /// panicking worker must not take sibling telemetry down.
     fn pending(&self) -> std::sync::MutexGuard<'_, HashMap<u64, PendingTrace>> {
         self.pending.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn finished(&self) -> std::sync::MutexGuard<'_, VecDeque<TraceTree>> {
-        self.finished.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn recent(&self) -> std::sync::MutexGuard<'_, VecDeque<TraceTree>> {
-        self.recent.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     fn now_us(&self) -> u64 {
@@ -327,12 +321,11 @@ impl Tracer {
             ids: AtomicU64::new(0),
             id_seed: mix(id_seed),
             pending: Mutex::new(HashMap::new()),
-            finished: Mutex::new(VecDeque::new()),
-            recent: Mutex::new(VecDeque::new()),
+            finished: Recorder::bounded(FINISHED_CAP, None),
+            recent: Recorder::bounded(RECENT_CAP, None),
             spans_total: AtomicU64::new(0),
             traces_started: AtomicU64::new(0),
             traces_kept: AtomicU64::new(0),
-            traces_dropped: AtomicU64::new(0),
         })))
     }
 
@@ -466,18 +459,8 @@ impl Tracer {
             kept,
             spans: pending.spans,
         };
-        let mut finished = inner.finished();
-        if finished.len() >= FINISHED_CAP {
-            finished.pop_front();
-            inner.traces_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        finished.push_back(tree.clone());
-        drop(finished);
-        let mut recent = inner.recent();
-        if recent.len() >= RECENT_CAP {
-            recent.pop_front();
-        }
-        recent.push_back(tree.clone());
+        inner.finished.emit(|| tree.clone());
+        inner.recent.emit(|| tree.clone());
         Some(tree)
     }
 
@@ -486,7 +469,12 @@ impl Tracer {
     pub fn drain(&self) -> Vec<TraceTree> {
         match &self.0 {
             None => Vec::new(),
-            Some(inner) => inner.finished().drain(..).collect(),
+            Some(inner) => inner
+                .finished
+                .drain()
+                .into_iter()
+                .map(|e| e.event)
+                .collect(),
         }
     }
 
@@ -496,9 +484,9 @@ impl Tracer {
         match &self.0 {
             None => Vec::new(),
             Some(inner) => {
-                let recent = inner.recent();
+                let recent = inner.recent.events();
                 let skip = recent.len().saturating_sub(limit);
-                recent.iter().skip(skip).cloned().collect()
+                recent.into_iter().skip(skip).map(|e| e.event).collect()
             }
         }
     }
@@ -519,9 +507,7 @@ impl Tracer {
 
     /// Kept traces evicted before a drain picked them up.
     pub fn dropped(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |i| i.traces_dropped.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |i| i.finished.dropped())
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! * [`net`] — place/transition nets with visible (task-labeled) and
 //!   invisible (τ) transitions;
-//! * [`translate`] — a BPMN → Petri translation for the fragment such
+//! * [`translate`](mod@translate) — a BPMN → Petri translation for the fragment such
 //!   tooling supports; inclusive (OR) gateways are rejected, faithfully
 //!   reproducing the restriction §6 points out (the paper's Fig. 1 process
 //!   cannot be translated);

@@ -21,7 +21,8 @@
 //! Ingest is asynchronous: a submit enqueues the batch on the tenant's
 //! bounded queue (backpressure: `429` + `Retry-After` past the watermark —
 //! whole-batch, so accepted entries are never dropped or reordered) and a
-//! per-tenant worker replays it through the tenant's [`ShardedMonitor`].
+//! per-tenant worker replays it through the tenant's
+//! [`ShardedMonitor`](purpose_control::ShardedMonitor).
 //! Graceful shutdown drains every queue, then checkpoints each tenant to
 //! `<dir>/<tenant>.ckpt` with the stream offset = entries audited; the
 //! next boot resumes warm, fail-open on any checkpoint problem (typed

@@ -387,11 +387,7 @@ impl Tenant {
             .set_gauge("live_open_cases", self.handle.open_cases() as f64);
         // The service embeds no event recorder of its own; the aggregate
         // still carries flight-ring and tracer losses.
-        purpose_control::metrics::record_observability_metrics(
-            &self.registry,
-            &obs::Recorder::noop(),
-            &self.tracer,
-        );
+        purpose_control::metrics::record_observability_metrics(&self.registry, &[], &self.tracer);
         &self.registry
     }
 }
