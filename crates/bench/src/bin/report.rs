@@ -1947,10 +1947,11 @@ fn splice_section(report: &str, key: &str, body: &str) -> String {
 /// The one writer of `BENCH_replay.json`: splice each record into `base`
 /// — an empty object for a full run, the existing file for an `--only-pN`
 /// run — stamped with the run's provenance: quick or full mode, the host's
-/// available parallelism, and the commit checked out.
+/// available parallelism, and the commit checked out (suffixed `-dirty`
+/// when the working tree has uncommitted changes).
 fn write_report(path: &std::path::Path, base: String, records: &[(&str, String)], quick: bool) {
     let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .ok()

@@ -25,7 +25,7 @@ use policy::context::PolicyContext;
 use policy::statement::{AccessRequest, Decision, Policy};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A process registered as the implementation of a purpose.
 #[derive(Clone, Debug)]
@@ -38,6 +38,18 @@ pub struct RegisteredProcess {
     /// [`crate::replay::Engine::Trie`]. Live sessions walk the automaton
     /// uncached; the direct engine ignores it.
     pub trie: Arc<ReplayTrie>,
+    /// `encoded.snapshot_key()`, hashed on first use: the live monitor
+    /// stamps and checks it on every evict, rehydrate, checkpoint and
+    /// restore, and a batch audit never needs it.
+    key: OnceLock<u64>,
+}
+
+impl RegisteredProcess {
+    /// The process key ([`Encoded::snapshot_key`]) that binds spilled and
+    /// checkpointed cases to this exact process definition.
+    pub fn key(&self) -> u64 {
+        *self.key.get_or_init(|| self.encoded.snapshot_key())
+    }
 }
 
 /// Purpose → process registry, with case-name resolution rules.
@@ -68,6 +80,7 @@ impl ProcessRegistry {
                 model,
                 encoded,
                 trie,
+                key: OnceLock::new(),
             }),
         );
     }

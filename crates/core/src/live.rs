@@ -662,7 +662,7 @@ impl LiveAuditor {
                 purpose: purpose.to_string(),
             })?
             .clone();
-        let expected = process.encoded.snapshot_key();
+        let expected = process.key();
         if process_key != expected {
             return Err(CheckError::Checkpoint {
                 detail: format!(
@@ -685,7 +685,7 @@ impl LiveAuditor {
             return Ok(());
         };
         let spill_start = std::time::Instant::now();
-        let bytes = encode_churn(&live.record(case, live.process.encoded.snapshot_key()));
+        let bytes = encode_churn(&live.record(case, live.process.key()));
         match self.spill.insert(case, &bytes) {
             Ok(()) => {}
             Err(e) if e.is_no_space() => {
@@ -916,26 +916,17 @@ impl LiveAuditor {
     /// (resident and spilled, in case order), retired records and alarm
     /// order. Spilled cases are read as records, never rebuilt as sessions.
     pub fn checkpoint(&self, stream_offset: u64) -> Result<Vec<u8>, CheckError> {
-        // One registry lookup and one process key per purpose.
-        let mut processes: HashMap<Symbol, (Arc<RegisteredProcess>, u64)> = HashMap::new();
-        let mut process_of =
-            |purpose: Symbol| -> Result<(Arc<RegisteredProcess>, u64), CheckError> {
-                if let Some(p) = processes.get(&purpose) {
-                    return Ok(p.clone());
-                }
-                let process = self.auditor.registry.process_for(purpose).ok_or(
-                    CheckError::UnknownPurpose {
-                        purpose: purpose.to_string(),
-                    },
-                )?;
-                let entry = (process.clone(), process.encoded.snapshot_key());
-                processes.insert(purpose, entry.clone());
-                Ok(entry)
-            };
+        let process_of = |purpose: Symbol| {
+            self.auditor
+                .registry
+                .process_for(purpose)
+                .ok_or(CheckError::UnknownPurpose {
+                    purpose: purpose.to_string(),
+                })
+        };
         let mut cases = Vec::with_capacity(self.tracked_cases());
         for (&case, live) in &self.cases {
-            let (_, key) = process_of(live.process.purpose)?;
-            cases.push(live.record(case, key));
+            cases.push(live.record(case, process_of(live.process.purpose)?.key()));
         }
         for case in self.spill.cases() {
             cases.push(decode_churn(&self.load_spilled(case)?).map_err(checkpoint_error)?);
@@ -946,8 +937,8 @@ impl LiveAuditor {
         let mut table: HashMap<(Symbol, u32), u32> = HashMap::new();
         let mut states = Vec::new();
         for c in &mut cases {
-            let (process, key) = process_of(c.purpose)?;
-            if c.process_key != key {
+            let process = process_of(c.purpose)?;
+            if c.process_key != process.key() {
                 return Err(CheckError::Checkpoint {
                     detail: format!("case {} spilled under a different process key", c.case),
                 });
@@ -997,9 +988,9 @@ impl LiveAuditor {
         let mut monitor = LiveAuditor::with_config(auditor, config);
         // Validate every case against the registry up front, spilled ones
         // included, so a stale checkpoint fails before anything is admitted.
-        let mut processes: HashMap<Symbol, (Arc<RegisteredProcess>, u64)> = HashMap::new();
+        let mut processes: HashMap<Symbol, Arc<RegisteredProcess>> = HashMap::new();
         for c in &ckpt.cases {
-            let (_, expected) = match processes.entry(c.purpose) {
+            let process = match processes.entry(c.purpose) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => {
                     let process = monitor.auditor.registry.process_for(c.purpose).ok_or(
@@ -1008,14 +999,14 @@ impl LiveAuditor {
                             purpose: c.purpose.to_string(),
                         },
                     )?;
-                    e.insert((process.clone(), process.encoded.snapshot_key()))
+                    e.insert(process.clone())
                 }
             };
-            if c.process_key != *expected {
+            if c.process_key != process.key() {
                 return Err(RestoreError::ProcessKeyMismatch {
                     purpose: c.purpose.to_string(),
                     found: c.process_key,
-                    expected: *expected,
+                    expected: process.key(),
                 });
             }
         }
@@ -1026,7 +1017,7 @@ impl LiveAuditor {
             order.iter().take(resident_cap).copied().collect();
         let mut interned: HashMap<(Symbol, u32), u32> = HashMap::new();
         for (i, mut c) in ckpt.cases.into_iter().enumerate() {
-            let process = processes[&c.purpose].0.clone();
+            let process = processes[&c.purpose].clone();
             for id in &mut c.ids {
                 *id = *interned.entry((c.purpose, *id)).or_insert_with(|| {
                     process
@@ -1628,6 +1619,48 @@ mod tests {
             Err(e) => panic!("wrong restore error: {e}"),
             Ok(_) => panic!("restore must reject a changed process"),
         }
+    }
+
+    #[test]
+    fn process_key_is_the_encoding_snapshot_key() {
+        let a = auditor();
+        for purpose in [treatment(), clinical_trial_purpose()] {
+            let process = a.registry.process_for(purpose).unwrap();
+            assert_eq!(process.key(), process.encoded.snapshot_key());
+            // Memoized: a second call returns the same key.
+            assert_eq!(process.key(), process.encoded.snapshot_key());
+        }
+    }
+
+    #[test]
+    fn rehydrate_rejects_a_record_keyed_to_another_process() {
+        let mut monitor = live();
+        let trail = figure4_trail();
+        let ht1 = trail.project_case(sym("HT-1"));
+        monitor.observe(ht1[0]).unwrap();
+        monitor.evict(sym("HT-1")).unwrap();
+        // Re-key the spilled record to the clinical-trial process.
+        let other = monitor
+            .auditor
+            .registry
+            .process_for(clinical_trial_purpose())
+            .unwrap()
+            .key();
+        let mut record = decode_churn(&monitor.load_spilled(sym("HT-1")).unwrap()).unwrap();
+        assert_ne!(record.process_key, other);
+        record.process_key = other;
+        monitor.spill.remove(sym("HT-1")).unwrap();
+        monitor
+            .spill
+            .insert(sym("HT-1"), &encode_churn(&record))
+            .unwrap();
+        let keyed_wrong = |r: Result<(), CheckError>| match r {
+            Err(CheckError::Checkpoint { detail }) => detail.contains("different"),
+            _ => false,
+        };
+        let peeked = monitor.snapshot(sym("HT-1")).unwrap();
+        assert!(keyed_wrong(peeked.map(|_| ())));
+        assert!(keyed_wrong(monitor.observe(ht1[1]).map(|_| ())));
     }
 
     #[test]

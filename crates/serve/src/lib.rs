@@ -43,7 +43,7 @@ use purpose_control::replay::Verdict;
 use purpose_control::{Auditor, LiveConfig};
 use std::collections::BTreeMap;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -166,9 +166,8 @@ impl Server {
             issues.extend(issue);
             let tenant = Arc::new(Tenant::with_tracer(
                 spec.name.clone(),
-                MonitorHandle::new(monitor),
+                MonitorHandle::new(monitor, offset),
                 config.watermark,
-                offset,
                 config.tracer.clone(),
             ));
             if tenants.insert(spec.name.clone(), tenant).is_some() {
@@ -177,7 +176,6 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr).map_err(ServeError::Bind)?;
         let addr = listener.local_addr().map_err(ServeError::Bind)?;
-        listener.set_nonblocking(true).map_err(ServeError::Bind)?;
 
         let access_log = match &config.access_log {
             Some(path) => {
@@ -214,17 +212,21 @@ impl Server {
             })
             .collect();
 
+        // Accept blocks; `request_stop` wakes it with a connection of its
+        // own once the stop flag is set.
         let accept_state = state.clone();
         let accept_thread = std::thread::spawn(move || {
-            while !accept_state.stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
+            for conn in listener.incoming() {
+                if accept_state.stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                match conn {
+                    Ok(stream) => {
                         let conn_state = accept_state.clone();
                         std::thread::spawn(move || serve_connection(stream, conn_state));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
+                    // Out of descriptors (EMFILE) and the like: back off
+                    // rather than spin on a failing accept.
                     Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
             }
@@ -257,16 +259,28 @@ impl Server {
     }
 
     /// Request shutdown from another thread (e.g. a signal handler flag
-    /// poller). Idempotent; `shutdown` performs the actual drain.
+    /// poller): set the stop flag, then connect to the server's own
+    /// address so the blocked accept returns and sees it (an unspecified
+    /// bind address is reached over loopback). Idempotent; `shutdown`
+    /// performs the actual drain.
     pub fn request_stop(&self) {
         self.state.stop.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Refused once the accept thread has exited: nothing left to wake.
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 
     /// Graceful shutdown: stop accepting, drain every tenant queue, then
     /// checkpoint each tenant to `<dir>/<tenant>.ckpt` at its audited
     /// offset. Returns what was written.
     pub fn shutdown(mut self) -> Result<DrainReport, ServeError> {
-        self.state.stop.store(true, Ordering::SeqCst);
+        self.request_stop();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -282,21 +296,20 @@ impl Server {
         }
         let mut checkpoints = Vec::new();
         for (name, tenant) in &self.state.tenants {
-            let offset = tenant.stream_offset();
-            let path = match &self.state.checkpoint_dir {
+            let (offset, path) = match &self.state.checkpoint_dir {
                 Some(dir) => {
-                    let bytes = tenant
+                    let (offset, bytes) = tenant
                         .handle
-                        .checkpoint(offset)
+                        .checkpoint()
                         .map_err(|e| ServeError::Checkpoint(format!("tenant `{name}`: {e}")))?;
                     std::fs::create_dir_all(dir)
                         .map_err(|e| ServeError::Checkpoint(format!("{}: {e}", dir.display())))?;
                     let path = checkpoint_path(dir, name);
                     atomic_write_sync(&path, &bytes, self.state.durability)
                         .map_err(|e| ServeError::Checkpoint(format!("{}: {e}", path.display())))?;
-                    Some(path)
+                    (offset, Some(path))
                 }
-                None => None,
+                None => (tenant.stream_offset(), None),
             };
             checkpoints.push((name.clone(), offset, path));
         }
@@ -599,8 +612,7 @@ fn admin_checkpoint(state: &State) -> Outcome {
     }
     let mut parts = Vec::new();
     for (name, tenant) in &state.tenants {
-        let offset = tenant.stream_offset();
-        let bytes = match tenant.handle.checkpoint(offset) {
+        let (offset, bytes) = match tenant.handle.checkpoint() {
             Ok(b) => b,
             Err(e) => {
                 return Outcome::json(500, "Internal Server Error", error_body(&e.to_string()))
@@ -913,6 +925,43 @@ mod tests {
             "the 408 must come from the deadline, not an instant refusal"
         );
         server.shutdown().unwrap();
+    }
+
+    /// `request_stop` alone ends the blocked accept: no client connects,
+    /// yet the accept thread exits promptly.
+    #[test]
+    fn request_stop_alone_ends_the_accept_thread() {
+        let mut server = Server::start(Vec::new(), ServeConfig::default()).unwrap();
+        let accept = server.accept_thread.take().unwrap();
+        let started = std::time::Instant::now();
+        server.request_stop();
+        while !accept.is_finished() {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "accept thread still blocked after request_stop"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        accept.join().unwrap();
+        server.shutdown().unwrap();
+    }
+
+    /// A server bound to the unspecified address wakes its accept over
+    /// loopback, so shutdown returns instead of hanging.
+    #[test]
+    fn unspecified_bind_address_shuts_down() {
+        let config = ServeConfig {
+            addr: "0.0.0.0:0".to_string(),
+            ..ServeConfig::default()
+        };
+        let server = Server::start(Vec::new(), config).unwrap();
+        assert!(server.addr().ip().is_unspecified());
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(server.shutdown().is_ok()));
+        let shut_down = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown hung");
+        assert!(shut_down);
     }
 
     /// An intact request against the same tiny deadline still succeeds —

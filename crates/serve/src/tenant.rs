@@ -15,6 +15,11 @@
 //! batch still queued; it never sees entries in limbo. The soak test
 //! (`cargo test -- --ignored soak`) hammers this from 8 threads.
 //!
+//! A checkpoint's stream offset does not come from these counters: the
+//! monitor handle advances it inside the same lock that replays a batch,
+//! so a checkpoint taken between a batch's replay and its commit still
+//! pairs the monitor state with exactly the entries that state includes.
+//!
 //! Admission control is whole-batch: a submit that would push
 //! `queued_entries` past the watermark is rejected with `429` without
 //! enqueueing *anything*, so accepted entries are never dropped or
@@ -87,12 +92,6 @@ pub struct Tenant {
     wake: Condvar,
     /// Entries admitted to the queue at once, beyond which submits 429.
     pub watermark: u64,
-    /// Stream offset carried over from the checkpoint this tenant resumed
-    /// from. The counters in [`Counters`] are process-local (the
-    /// invariant is over this process's lifetime); the *stream* offset a
-    /// checkpoint records is `base_offset + entries_audited`, so a
-    /// restart never regresses a checkpoint.
-    pub base_offset: u64,
 }
 
 /// Outcome of one batch submit.
@@ -108,20 +107,14 @@ pub enum Admission {
 }
 
 impl Tenant {
-    pub fn new(
-        name: impl Into<String>,
-        handle: MonitorHandle,
-        watermark: u64,
-        base_offset: u64,
-    ) -> Tenant {
-        Tenant::with_tracer(name, handle, watermark, base_offset, obs::Tracer::noop())
+    pub fn new(name: impl Into<String>, handle: MonitorHandle, watermark: u64) -> Tenant {
+        Tenant::with_tracer(name, handle, watermark, obs::Tracer::noop())
     }
 
     pub fn with_tracer(
         name: impl Into<String>,
         handle: MonitorHandle,
         watermark: u64,
-        base_offset: u64,
         tracer: obs::Tracer,
     ) -> Tenant {
         let registry = Registry::new();
@@ -140,14 +133,15 @@ impl Tenant {
             }),
             wake: Condvar::new(),
             watermark,
-            base_offset,
         }
     }
 
     /// The tenant's position in its entry stream: entries audited across
-    /// every process incarnation — what a checkpoint records.
+    /// every process incarnation — what a checkpoint records. The
+    /// [`Counters`] are process-local; the offset lives with the monitor
+    /// ([`MonitorHandle::stream_offset`]), so a restart never regresses it.
     pub fn stream_offset(&self) -> u64 {
-        self.base_offset + self.counters().entries_audited
+        self.handle.stream_offset()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Queue> {
@@ -268,12 +262,11 @@ impl Tenant {
             }
             let mut q = self.lock();
             match outcome {
-                Ok(()) => {
+                Ok(offset) => {
                     q.batches.pop_front();
                     let n = entries.len() as u64;
                     q.counters.queued_entries -= n;
                     q.counters.entries_audited += n;
-                    let offset = self.base_offset + q.counters.entries_audited;
                     drop(q);
                     obs::flight::record(|| obs::ObsEvent::OffsetCommit {
                         tenant: self.name.clone(),

@@ -2,9 +2,12 @@
 //! set, corrupt or incompatible checkpoint files, and the guarantee that
 //! restoring never resurrects a retired (alarmed) case. Every failure
 //! path must be fail-open — a typed [`RestoreIssue`] plus a cold start,
-//! never a panic and never a refusal to boot.
+//! never a panic and never a refusal to boot. A checkpoint taken while
+//! batches are queued must resume to the alarms of an uninterrupted run.
 
+use audit::codec::format_trail;
 use audit::samples::figure4_trail;
+use audit::trail::AuditTrail;
 use bpmn::models::{clinical_trial, healthcare_treatment};
 use cows::sym;
 use policy::samples::{
@@ -12,8 +15,11 @@ use policy::samples::{
 };
 use proptest::prelude::*;
 use purpose_control::auditor::{Auditor, ProcessRegistry};
+use purpose_control::pool::MonitorHandle;
 use purpose_control::{LiveConfig, ShardedMonitor};
-use serve::tenant::{checkpoint_path, orphan_checkpoints, restore_tenant, RestoreIssue};
+use serve::tenant::{
+    checkpoint_path, orphan_checkpoints, restore_tenant, Admission, RestoreIssue, Tenant,
+};
 use std::path::PathBuf;
 
 fn hospital_auditor() -> Auditor {
@@ -176,6 +182,45 @@ fn version_bump_fails_open() {
         "wrong issue: {issue:?}"
     );
     assert_eq!(offset, 0);
+}
+
+/// The worker replays a batch under the monitor lock and commits it off
+/// the queue only afterwards. A checkpoint taken in between — made
+/// deterministic here by replaying the front batch the way the worker
+/// does and checkpointing before any commit — must save an offset that
+/// matches the state it saves. Resubmitting from that offset then reaches
+/// exactly the alarms of one uninterrupted pass, at every split point; an
+/// offset read from the queue counters is one batch short, replays that
+/// batch twice and changes the alarms at most splits.
+#[test]
+fn checkpoint_with_queued_batches_resumes_to_identical_alarms() {
+    let trail = figure4_trail();
+    let entries = trail.entries();
+    let config = LiveConfig::default();
+    let mut once = ShardedMonitor::new(hospital_auditor(), &config, 2);
+    once.ingest(entries).unwrap();
+    assert!(!once.alarms().is_empty());
+    for split in 1..entries.len() {
+        let (front, back) = entries.split_at(split);
+        let monitor = ShardedMonitor::new(hospital_auditor(), &config, 2);
+        let tenant = Tenant::new("t", MonitorHandle::new(monitor, 0), 1_000);
+        for batch in [front, back] {
+            let body = format_trail(&AuditTrail::from_entries(batch.to_vec()));
+            let admission = tenant.submit(&body, None);
+            assert!(matches!(admission, Admission::Accepted { .. }));
+        }
+        // The worker's replay of the front batch, not yet committed.
+        tenant.handle.ingest(front).unwrap();
+        assert_eq!(tenant.counters().queued_entries, entries.len() as u64);
+
+        let (offset, bytes) = tenant.handle.checkpoint().unwrap();
+        assert_eq!(offset, split as u64, "split {split}");
+        let (mut resumed, restored_offset) =
+            ShardedMonitor::restore(hospital_auditor(), &config, 2, &bytes).unwrap();
+        assert_eq!(restored_offset, offset);
+        resumed.ingest(&entries[offset as usize..]).unwrap();
+        assert_eq!(resumed.alarms(), once.alarms(), "split {split}");
+    }
 }
 
 proptest! {
