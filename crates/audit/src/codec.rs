@@ -20,6 +20,8 @@
 use crate::entry::{LogEntry, TaskStatus};
 use crate::trail::AuditTrail;
 use cows::symbol::Symbol;
+use policy::object::{ObjectId, ObjectParseError};
+use std::collections::HashMap;
 use std::fmt;
 
 /// How many characters of the offending line an error (or quarantine
@@ -84,6 +86,11 @@ fn err(
     }
 }
 
+/// A trail shorter than this many bytes per available core is parsed by
+/// fewer threads, down to one below twice this size: a thread is only
+/// worth starting for at least this much text.
+const CHUNK_BYTES: usize = 1 << 20;
+
 /// Parse a trail document (strict: the first bad line aborts).
 ///
 /// Entries are **silently re-sorted chronologically** on load (stable on
@@ -93,69 +100,342 @@ fn err(
 /// suspected of buffering), prefer
 /// [`crate::salvage::parse_trail_salvage`], which *records* out-of-order
 /// arrivals as diagnostics while still producing the same sorted trail.
+///
+/// A large text is cut after a newline into one chunk per core (at most
+/// one per MiB) and the chunks are parsed on scoped threads. The result,
+/// the error reported and the order in which new strings are interned
+/// are those of a line-by-line parse.
 pub fn parse_trail(text: &str) -> Result<AuditTrail, TrailParseError> {
-    let mut entries = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    parse_trail_chunked(text, cores.min(text.len() / CHUNK_BYTES))
+}
+
+// The parse moves each entry out of its line's slot in place
+// (`into_iter().filter_map(..).collect()` reuses the allocation only when
+// the two element types have the same size), so a parallel parse holds
+// one entry buffer, as a serial one does.
+const _: () = assert!(std::mem::size_of::<Option<LogEntry>>() == std::mem::size_of::<LogEntry>());
+
+/// [`parse_trail`] over (at most) `chunks` chunks.
+///
+/// Symbols are `Ord` by issue order, and case order in reports is symbol
+/// order, so new strings must be interned exactly in the order a serial
+/// parse meets them. Only the first chunk interns. The others probe with
+/// [`Symbol::lookup`] and set aside every line naming a string that is
+/// not interned yet, or, past [`PROBE_LINES`], every line if most were
+/// set aside; after the join the set-aside lines are parsed in order,
+/// interning, up to the first malformed line. A cold parse, where most
+/// strings are new, so parses most of its later chunks serially:
+/// chunking pays when a text is parsed again. A malformed line the
+/// probe could decide names no new string before its faulty column, so
+/// the serial parse would have interned nothing for it either. The first
+/// error by line number wins.
+pub(crate) fn parse_trail_chunked(
+    text: &str,
+    chunks: usize,
+) -> Result<AuditTrail, TrailParseError> {
+    let pieces = cut(text, chunks.max(1));
+    let lines: Vec<usize> = pieces.iter().map(|p| line_count(p)).collect();
+    let mut slots: Vec<Option<LogEntry>> = vec![None; lines.iter().sum()];
+    let mut rest = slots.as_mut_slice();
+    let mut parts = Vec::with_capacity(pieces.len());
+    let mut first_line = 0;
+    for (piece, &n) in pieces.iter().zip(&lines) {
+        let (mine, tail) = rest.split_at_mut(n);
+        rest = tail;
+        parts.push((*piece, first_line, mine));
+        first_line += n;
+    }
+    let mut parts = parts.into_iter();
+    let head = parts.next();
+    let (head, later) = std::thread::scope(|scope| {
+        let later: Vec<_> = parts
+            .map(|(piece, first, slots)| {
+                scope.spawn(move || parse_chunk(piece, first, slots, LineParser::probing()))
+            })
+            .collect();
+        let head = head
+            .map(|(piece, first, slots)| parse_chunk(piece, first, slots, LineParser::interning()));
+        let later: Vec<Chunk> = later
+            .into_iter()
+            .map(|worker| worker.join().expect("trail parse worker panicked"))
+            .collect();
+        (head, later)
+    });
+    if let Some(head) = head {
+        if let Some(e) = head.error {
+            return Err(e);
+        }
+        let mut parser = head.parser;
+        let first_error = later.iter().find_map(|c| c.error.clone());
+        let stop = first_error.as_ref().map_or(usize::MAX, |e| e.line);
+        for (line, text) in later.iter().flat_map(|c| c.deferred.iter().copied()) {
+            if line + 1 > stop {
+                break;
+            }
+            slots[line] = Some(parser.parse_entry(text, line + 1)?);
+        }
+        if let Some(e) = first_error {
+            return Err(e);
+        }
+    }
+    // Not `flatten()`: that copies into a new buffer instead of reusing
+    // the slots' allocation in place.
+    #[allow(clippy::filter_map_identity)]
+    let entries: Vec<LogEntry> = slots.into_iter().filter_map(|slot| slot).collect();
+    Ok(AuditTrail::from_entries(entries))
+}
+
+/// Cut `text` into at most `chunks` non-empty pieces, each but the last
+/// ending just after a `\n` (always a char boundary).
+fn cut(text: &str, chunks: usize) -> Vec<&str> {
+    let mut pieces = Vec::with_capacity(chunks);
+    let mut start = 0;
+    for k in 1..=chunks {
+        if start == text.len() {
+            break;
+        }
+        let target = (text.len() * k / chunks).max(start);
+        let end = if k == chunks {
+            text.len()
+        } else {
+            text.as_bytes()[target..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(text.len(), |i| target + i + 1)
+        };
+        if end > start {
+            pieces.push(&text[start..end]);
+            start = end;
+        }
+    }
+    pieces
+}
+
+/// How many items `str::lines` yields for `piece`.
+fn line_count(piece: &str) -> usize {
+    // Fixed-size blocks let the compiler vectorise the count.
+    let mut blocks = piece.as_bytes().chunks_exact(64);
+    let mut newlines = 0;
+    for block in &mut blocks {
+        newlines += usize::from(block.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>());
+    }
+    newlines += blocks.remainder().iter().filter(|&&b| b == b'\n').count();
+    newlines + usize::from(!piece.is_empty() && !piece.ends_with('\n'))
+}
+
+/// A probing chunk that has set aside more than half of its first this
+/// many lines sets aside the rest unread. That is a cold parse (a first
+/// parse of a day's new case ids): the serial pass after the join would
+/// parse those lines again, so probing them is wasted work, and the
+/// probes contend with the first chunk's interning for the symbol table.
+const PROBE_LINES: usize = 1024;
+
+/// What one chunk's worker hands back.
+struct Chunk<'a> {
+    /// The worker's parser with its caches (the first chunk's goes on to
+    /// parse the set-aside lines).
+    parser: LineParser<'a>,
+    /// Lines naming a string not interned yet, and every line after a
+    /// cold start ([`PROBE_LINES`]): (0-based line, trimmed text).
+    deferred: Vec<(usize, &'a str)>,
+    /// The chunk's first malformed line; the worker stops there.
+    error: Option<TrailParseError>,
+}
+
+/// Parse the lines of `piece`, the first of which is 0-based line
+/// `first_line` of the document, into `slots` (one per line).
+fn parse_chunk<'a>(
+    piece: &'a str,
+    first_line: usize,
+    slots: &mut [Option<LogEntry>],
+    mut parser: LineParser<'a>,
+) -> Chunk<'a> {
+    let mut deferred = Vec::new();
+    let mut error = None;
+    let mut probed = 0;
+    for ((i, raw), slot) in piece.lines().enumerate().zip(slots) {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        entries.push(parse_entry(line, lineno)?);
+        if probed == PROBE_LINES && deferred.len() * 2 > probed {
+            deferred.push((first_line + i, line));
+            continue;
+        }
+        probed += 1;
+        match parser.entry(line, first_line + i + 1) {
+            Ok(entry) => *slot = Some(entry),
+            Err(LineError::Unknown) => deferred.push((first_line + i, line)),
+            Err(LineError::Malformed(e)) => {
+                error = Some(e);
+                break;
+            }
+        }
     }
-    Ok(AuditTrail::from_entries(entries))
+    Chunk {
+        parser,
+        deferred,
+        error,
+    }
 }
 
-pub(crate) fn parse_entry(line: &str, lineno: usize) -> Result<LogEntry, TrailParseError> {
-    let tok: Vec<&str> = line.split_whitespace().collect();
-    if tok.len() != 8 {
-        return Err(err(
-            lineno,
-            line,
-            ParseErrorKind::ColumnCount { got: tok.len() },
-            format!(
-                "expected 8 columns (user role action object task case time status), got {}",
-                tok.len()
-            ),
-        ));
-    }
-    let action = tok[2]
-        .parse()
-        .map_err(|e| err(lineno, line, ParseErrorKind::Action, format!("{e}")))?;
-    let object = if tok[3] == "N/A" {
-        None
-    } else {
-        Some(
-            tok[3]
-                .parse()
-                .map_err(|e| err(lineno, line, ParseErrorKind::Object, format!("{e}")))?,
-        )
-    };
-    let time = tok[6]
-        .parse()
-        .map_err(|e| err(lineno, line, ParseErrorKind::Time, format!("{e}")))?;
-    let status = match tok[7] {
-        "success" => TaskStatus::Success,
-        "failure" => TaskStatus::Failure,
-        other => {
-            return Err(err(
-                lineno,
-                line,
-                ParseErrorKind::Status,
-                format!("unknown status `{other}`"),
-            ))
+/// Why [`LineParser::entry`] returned no entry.
+enum LineError {
+    Malformed(TrailParseError),
+    /// A probing parser met a string that is not interned yet.
+    Unknown,
+}
+
+/// The one line parser behind [`parse_trail`] and
+/// [`crate::salvage::parse_trail_salvage`].
+///
+/// Columns are split by `split_whitespace` into a fixed array, without a
+/// per-line `Vec`. Column values are memoised for the parse: string →
+/// [`Symbol`] and object text → [`ObjectId`]. The memos keep the standard
+/// library's seeded hasher: their keys are untrusted text, which could be
+/// crafted to collide under a fixed hash. A memo miss goes through the
+/// column's own `FromStr`, so every error kind and message is theirs.
+pub(crate) struct LineParser<'a> {
+    /// Whether unseen strings are interned, or only probed for.
+    interning: bool,
+    symbols: HashMap<&'a str, Symbol>,
+    objects: HashMap<&'a str, ObjectId>,
+}
+
+impl<'a> LineParser<'a> {
+    /// A parser that interns every new string, as a serial parse does.
+    pub(crate) fn interning() -> LineParser<'a> {
+        LineParser {
+            interning: true,
+            symbols: HashMap::default(),
+            objects: HashMap::default(),
         }
-    };
-    Ok(LogEntry {
-        user: Symbol::new(tok[0]),
-        role: Symbol::new(tok[1]),
-        action,
-        object,
-        task: Symbol::new(tok[4]),
-        case: Symbol::new(tok[5]),
-        time,
-        status,
-    })
+    }
+
+    /// A parser that never interns: a line naming a new string is
+    /// [`LineError::Unknown`].
+    fn probing() -> LineParser<'a> {
+        LineParser {
+            interning: false,
+            ..LineParser::interning()
+        }
+    }
+
+    /// Parse one trimmed, non-blank, non-comment line, interning. New
+    /// strings are interned in column order: the object's subject and
+    /// path segments, then user, role, task and case; a malformed line
+    /// interns its object's strings only if the object column parsed.
+    pub(crate) fn parse_entry(
+        &mut self,
+        line: &'a str,
+        lineno: usize,
+    ) -> Result<LogEntry, TrailParseError> {
+        debug_assert!(self.interning);
+        self.entry(line, lineno).map_err(|e| match e {
+            LineError::Malformed(e) => e,
+            LineError::Unknown => unreachable!("an interning parser resolves every string"),
+        })
+    }
+
+    fn entry(&mut self, line: &'a str, lineno: usize) -> Result<LogEntry, LineError> {
+        let bad = |kind, message: String| LineError::Malformed(err(lineno, line, kind, message));
+        let (col, got) = columns(line);
+        if got != 8 {
+            return Err(bad(
+                ParseErrorKind::ColumnCount { got },
+                format!(
+                    "expected 8 columns (user role action object task case time status), got {got}"
+                ),
+            ));
+        }
+        let action = col[2]
+            .parse()
+            .map_err(|e| bad(ParseErrorKind::Action, format!("{e}")))?;
+        let object = if col[3] == "N/A" {
+            None
+        } else {
+            match self.object(col[3]) {
+                Ok(Some(object)) => Some(object),
+                Ok(None) => return Err(LineError::Unknown),
+                Err(e) => return Err(bad(ParseErrorKind::Object, format!("{e}"))),
+            }
+        };
+        let time = col[6]
+            .parse()
+            .map_err(|e| bad(ParseErrorKind::Time, format!("{e}")))?;
+        let status = match col[7] {
+            "success" => TaskStatus::Success,
+            "failure" => TaskStatus::Failure,
+            other => {
+                return Err(bad(
+                    ParseErrorKind::Status,
+                    format!("unknown status `{other}`"),
+                ))
+            }
+        };
+        let (Some(user), Some(role), Some(task), Some(case)) = (
+            self.symbol(col[0]),
+            self.symbol(col[1]),
+            self.symbol(col[4]),
+            self.symbol(col[5]),
+        ) else {
+            return Err(LineError::Unknown);
+        };
+        Ok(LogEntry {
+            user,
+            role,
+            action,
+            object,
+            task,
+            case,
+            time,
+            status,
+        })
+    }
+
+    fn symbol(&mut self, text: &'a str) -> Option<Symbol> {
+        if let Some(&symbol) = self.symbols.get(text) {
+            return Some(symbol);
+        }
+        let symbol = if self.interning {
+            Symbol::new(text)
+        } else {
+            Symbol::lookup(text)?
+        };
+        self.symbols.insert(text, symbol);
+        Some(symbol)
+    }
+
+    fn object(&mut self, text: &'a str) -> Result<Option<ObjectId>, ObjectParseError> {
+        if let Some(object) = self.objects.get(text) {
+            return Ok(Some(object.clone()));
+        }
+        let object = if self.interning {
+            text.parse()?
+        } else {
+            match ObjectId::parse_with(text, Symbol::lookup)? {
+                Some(object) => object,
+                None => return Ok(None),
+            }
+        };
+        self.objects.insert(text, object.clone());
+        Ok(Some(object))
+    }
+}
+
+/// The first eight whitespace-separated columns of `line`, and how many
+/// columns it has: `split_whitespace`, without allocating.
+fn columns(line: &str) -> ([&str; 8], usize) {
+    let mut col = [""; 8];
+    let mut got = 0;
+    for token in line.split_whitespace() {
+        if got < col.len() {
+            col[got] = token;
+        }
+        got += 1;
+    }
+    (col, got)
 }
 
 /// Render a trail back to its text form (inverse of [`parse_trail`]).
@@ -169,9 +449,386 @@ pub fn format_trail(trail: &AuditTrail) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cows::sym;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The line parser as it was before the chunked parse: a token `Vec`
+    /// per line and each column's `FromStr`. The oracle of this module's
+    /// equality tests.
+    pub(crate) fn oracle_entry(line: &str, lineno: usize) -> Result<LogEntry, TrailParseError> {
+        let tok: Vec<&str> = line.split_whitespace().collect();
+        if tok.len() != 8 {
+            return Err(err(
+                lineno,
+                line,
+                ParseErrorKind::ColumnCount { got: tok.len() },
+                format!(
+                    "expected 8 columns (user role action object task case time status), got {}",
+                    tok.len()
+                ),
+            ));
+        }
+        let action = tok[2]
+            .parse()
+            .map_err(|e| err(lineno, line, ParseErrorKind::Action, format!("{e}")))?;
+        let object = if tok[3] == "N/A" {
+            None
+        } else {
+            Some(
+                tok[3]
+                    .parse()
+                    .map_err(|e| err(lineno, line, ParseErrorKind::Object, format!("{e}")))?,
+            )
+        };
+        let time = tok[6]
+            .parse()
+            .map_err(|e| err(lineno, line, ParseErrorKind::Time, format!("{e}")))?;
+        let status = match tok[7] {
+            "success" => TaskStatus::Success,
+            "failure" => TaskStatus::Failure,
+            other => {
+                return Err(err(
+                    lineno,
+                    line,
+                    ParseErrorKind::Status,
+                    format!("unknown status `{other}`"),
+                ))
+            }
+        };
+        Ok(LogEntry {
+            user: Symbol::new(tok[0]),
+            role: Symbol::new(tok[1]),
+            action,
+            object,
+            task: Symbol::new(tok[4]),
+            case: Symbol::new(tok[5]),
+            time,
+            status,
+        })
+    }
+
+    /// A line-by-line serial parse through [`oracle_entry`].
+    fn oracle_parse(text: &str) -> Result<AuditTrail, TrailParseError> {
+        let mut entries = Vec::new();
+        for (idx, raw) in text.lines().enumerate() {
+            let line = raw.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            entries.push(oracle_entry(line, idx + 1)?);
+        }
+        Ok(AuditTrail::from_entries(entries))
+    }
+
+    /// SplitMix64: a seeded stream for generated trails.
+    pub(crate) struct Gen(pub(crate) u64);
+
+    impl Gen {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49ba_133e_b111);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn pick<'s>(&mut self, options: &[&'s str]) -> &'s str {
+            options[self.below(options.len())]
+        }
+    }
+
+    /// A prefix no earlier generated trail in this process used, so the
+    /// strings of a trail built with it are not interned yet.
+    pub(crate) fn fresh_tag() -> String {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        format!("g{}-", NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// One generated trail line, ending in `\n` or `\r\n`: well-formed
+    /// entries with varied separators (ASCII whitespace including U+000B,
+    /// U+00A0), non-ASCII names and objects with empty path segments;
+    /// blank and comment lines; and, if `bad`, a malformed line of a
+    /// random kind instead.
+    pub(crate) fn gen_line(g: &mut Gen, tag: &str, bad: bool) -> String {
+        let mut line = match g.below(if bad { 1 } else { 12 }) {
+            0 if !bad => String::new(),
+            1 => format!("# note {tag}{}", g.below(9)),
+            _ => {
+                let user = match g.below(6) {
+                    0 => format!("J\u{fc}rgen{tag}{}", g.below(3)),
+                    _ => format!("{tag}u{}", g.below(6)),
+                };
+                let object = match g.below(5) {
+                    0 => "N/A".to_string(),
+                    1 => format!("{tag}Plain/p{}", g.below(4)),
+                    2 => format!("[{tag}s{}]EPR//{tag}seg{}/", g.below(4), g.below(3)),
+                    _ => format!("[{tag}s{}]EPR/Clinical", g.below(8)),
+                };
+                let time = format!(
+                    "2010{:02}{:02}{:02}{:02}",
+                    1 + g.below(12),
+                    1 + g.below(28),
+                    g.below(24),
+                    g.below(60)
+                );
+                let mut col = vec![
+                    user,
+                    format!("{tag}r{}", g.below(3)),
+                    g.pick(&["read", "write", "execute", "cancel"]).to_string(),
+                    object,
+                    format!("{tag}T{}", g.below(5)),
+                    format!("{tag}c{}", g.below(7)),
+                    time,
+                    g.pick(&["success", "success", "failure"]).to_string(),
+                ];
+                if bad {
+                    match g.below(11) {
+                        0 => {
+                            col.pop();
+                        }
+                        1 => col.push("extra".to_string()),
+                        2 => col[2] = "poke".to_string(),
+                        3 => col[3] = format!("[{tag}unterminated"),
+                        4 => col[3] = "[*]EPR".to_string(),
+                        5 => col[3] = format!("[{tag}s1]a/[{tag}b]c"),
+                        6 => col[6] = "201013121210".to_string(),
+                        7 => col[6] = "201002301210".to_string(),
+                        8 => col[6] = g.pick(&["201003122410", "201003121260"]).to_string(),
+                        9 => col[6] = g.pick(&["2010031212", "20100312121x"]).to_string(),
+                        _ => col[7] = "maybe".to_string(),
+                    }
+                }
+                let mut line = String::new();
+                if g.below(6) == 0 {
+                    line.push_str(g.pick(&[" ", "\t", "\x0b"]));
+                }
+                for (i, c) in col.iter().enumerate() {
+                    if i > 0 {
+                        line.push_str(
+                            g.pick(&[" ", " ", " ", "  ", "\t", "\x0b", "\x0c", "\u{a0}"]),
+                        );
+                    }
+                    line.push_str(c);
+                }
+                if g.below(6) == 0 {
+                    line.push_str(g.pick(&[" ", "\t", "\x0b", "\u{a0}"]));
+                }
+                line
+            }
+        };
+        line.push_str(g.pick(&["\n", "\n", "\n", "\r\n"]));
+        line
+    }
+
+    /// A generated trail of `lines` lines with fresh strings and one
+    /// malformed line in each quarter whose bit is set in `bad` (bit 0:
+    /// the first quarter), so with `bad` = `0b1111` each of up to four
+    /// chunks holds one. Sometimes the last line has no newline.
+    pub(crate) fn gen_trail(seed: u64, lines: usize, bad: u8) -> String {
+        let mut g = Gen(seed);
+        let tag = fresh_tag();
+        let quarter = lines.div_ceil(4).max(1);
+        let bad_at: Vec<usize> = (0..4)
+            .filter(|q| bad & (1 << q) != 0)
+            .map(|q| q * quarter + g.below(quarter))
+            .collect();
+        let mut text: String = (0..lines)
+            .map(|i| gen_line(&mut g, &tag, bad_at.contains(&i)))
+            .collect();
+        if g.below(3) == 0 {
+            text.truncate(text.trim_end_matches(['\r', '\n']).len());
+        }
+        text
+    }
+
+    #[test]
+    fn chunked_parse_equals_the_serial_oracle() {
+        for seed in 0..40 {
+            for chunks in 1..=4 {
+                // Clean; a malformed line in every chunk; and a few
+                // quarters, often sparing the first chunk, so the first
+                // error can sit behind lines a later chunk set aside.
+                for bad in [0, 0b1111, 1 + (seed % 15) as u8] {
+                    let text = gen_trail(seed, 60, bad);
+                    // Chunked first, while every string is still new.
+                    let chunked = parse_trail_chunked(&text, chunks);
+                    let oracle = oracle_parse(&text);
+                    assert_eq!(
+                        chunked, oracle,
+                        "seed {seed}, {chunks} chunks, bad {bad:04b}"
+                    );
+                    assert_eq!(chunked.is_err(), bad != 0);
+                    // Warm: every string interned, nothing set aside.
+                    assert_eq!(parse_trail_chunked(&text, chunks), oracle);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cold_chunk_stops_probing_and_still_equals_the_oracle() {
+        // A new case every three lines, as in a day's trail, so later
+        // chunks pass `PROBE_LINES` with most lines set aside; malformed
+        // lines sit before and after that point.
+        let lines = 12 * PROBE_LINES;
+        for seed in 0..3 {
+            for chunks in 2..=4 {
+                for bad in [vec![], vec![lines / 2 + 7], vec![lines / 3, lines - 5]] {
+                    let mut g = Gen(seed);
+                    let tag = fresh_tag();
+                    let text: String = (0..lines)
+                        .map(|i| {
+                            if bad.contains(&i) {
+                                gen_line(&mut g, &tag, true)
+                            } else {
+                                format!(
+                                    "{tag}u{} r{} read [{tag}s{}]EPR/Clinical T{} {tag}c{} 2010031212{:02} success\n",
+                                    g.below(9),
+                                    g.below(3),
+                                    i / 3,
+                                    g.below(5),
+                                    i / 3,
+                                    g.below(60)
+                                )
+                            }
+                        })
+                        .collect();
+                    let chunked = parse_trail_chunked(&text, chunks);
+                    assert_eq!(
+                        chunked,
+                        oracle_parse(&text),
+                        "seed {seed}, {chunks} chunks, bad {bad:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nothing_after_the_first_error_is_interned() {
+        for chunks in 2..=4 {
+            let tag = fresh_tag();
+            let line = |i: usize, status: &str| {
+                format!("{tag}u{i} r read N/A T {tag}c{i} 201003121210 {status}\n")
+            };
+            // The error sits in the second half, after lines a later
+            // chunk sets aside, and is followed by more new strings.
+            let text: String = (0..40)
+                .map(|i| line(i, if i == 25 { "maybe" } else { "success" }))
+                .collect();
+            let e = parse_trail_chunked(&text, chunks).unwrap_err();
+            assert_eq!((e.line, e.kind), (26, ParseErrorKind::Status));
+            for i in 0..40 {
+                let user = Symbol::lookup(&format!("{tag}u{i}"));
+                assert_eq!(user.is_some(), i < 25, "{chunks} chunks, line {}", i + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_cuts_cover_the_text_at_line_ends() {
+        let text = "a\nbb\n\nccc\r\nd";
+        for chunks in 1..=8 {
+            let pieces = cut(text, chunks);
+            assert!(pieces.len() <= chunks);
+            assert_eq!(pieces.concat(), text);
+            for piece in &pieces[..pieces.len() - 1] {
+                assert!(piece.ends_with('\n'));
+            }
+            let lines: usize = pieces.iter().map(|p| line_count(p)).sum();
+            assert_eq!(lines, text.lines().count());
+        }
+        assert!(cut("", 3).is_empty());
+        assert_eq!(parse_trail_chunked("", 3).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn vertical_tab_and_nbsp_separate_columns() {
+        // An ASCII line and a non-ASCII one.
+        for line in [
+            "u\x0br read N/A T c 201003121210 \x0b success",
+            "u\x0br read\u{a0}N/A T c 201003121210 \x0b success",
+        ] {
+            let t = parse_trail(line).unwrap();
+            assert_eq!(t.entries()[0].role, sym("r"), "{line:?}");
+            assert_eq!(t.entries()[0].action, policy::statement::Action::Read);
+        }
+    }
+
+    #[test]
+    fn new_strings_are_interned_in_first_appearance_order() {
+        for chunks in 1..=4 {
+            let tag = fresh_tag();
+            let mut text = String::new();
+            for i in 0..40 {
+                text.push_str(&format!(
+                    "{tag}u{} {tag}r{} read [{tag}s{}]{tag}EPR/{tag}p{} {tag}T{} {tag}c{} 2010031212{:02} success\n",
+                    i % 7,
+                    i % 3,
+                    i % 5,
+                    i % 4,
+                    i % 6,
+                    i,
+                    i % 60
+                ));
+            }
+            let trail = parse_trail_chunked(&text, chunks).unwrap();
+            let mut first_seen = Vec::new();
+            let mut line_order: Vec<&LogEntry> = trail.entries().iter().collect();
+            // Same timestamps order equals line order here (minutes rise).
+            line_order.sort_by_key(|e| e.time);
+            for e in line_order {
+                let object = e.object.as_ref().unwrap();
+                let strings = object
+                    .subject
+                    .iter()
+                    .chain(object.path.iter())
+                    .chain([&e.user, &e.role, &e.task, &e.case]);
+                for &s in strings {
+                    if !first_seen.contains(&s) {
+                        first_seen.push(s);
+                    }
+                }
+            }
+            assert!(
+                first_seen.windows(2).all(|w| w[0].index() < w[1].index()),
+                "{chunks} chunks: {first_seen:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary text (multibyte characters land next to chunk cuts)
+        /// never panics either parser, and the chunked parse still equals
+        /// the oracle.
+        #[test]
+        fn arbitrary_text_never_panics(
+            lines in prop::collection::vec(".{0,24}", 0..24),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut g = Gen(seed);
+            let tag = fresh_tag();
+            let text: String = lines
+                .iter()
+                .map(|l| match g.below(4) {
+                    0 => gen_line(&mut g, &tag, false),
+                    1 => gen_line(&mut g, &tag, true),
+                    _ => format!("{l}\n"),
+                })
+                .collect();
+            for chunks in 1..=4 {
+                let chunked = parse_trail_chunked(&text, chunks);
+                prop_assert_eq!(chunked, oracle_parse(&text));
+            }
+            prop_assert_eq!(parse_trail(&text), oracle_parse(&text));
+            let _ = crate::salvage::parse_trail_salvage(&text);
+        }
+    }
 
     const SAMPLE: &str = "\
 # opening rows of Fig. 4

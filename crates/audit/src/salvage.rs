@@ -22,7 +22,7 @@
 //!   for auditing.
 
 use crate::chain::ChainedTrail;
-use crate::codec::{line_excerpt, parse_entry, ParseErrorKind};
+use crate::codec::{line_excerpt, LineParser, ParseErrorKind};
 use crate::time::Timestamp;
 use crate::trail::AuditTrail;
 use std::collections::{BTreeMap, HashMap};
@@ -248,6 +248,7 @@ pub fn parse_trail_salvage(text: &str) -> (AuditTrail, Quarantine) {
     let mut entries = Vec::with_capacity(line_estimate);
     let mut seen: HashMap<&str, usize> = HashMap::with_capacity(line_estimate);
     let mut high_water: Option<Timestamp> = None;
+    let mut parser = LineParser::interning();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
@@ -255,7 +256,7 @@ pub fn parse_trail_salvage(text: &str) -> (AuditTrail, Quarantine) {
             continue;
         }
         q.scanned += 1;
-        let entry = match parse_entry(line, lineno) {
+        let entry = match parser.parse_entry(line, lineno) {
             Ok(entry) => entry,
             Err(e) => {
                 q.lines.push(QuarantinedLine {
@@ -425,6 +426,40 @@ u r read o3 C c 201003121230 success
         assert!(s.contains("duplicate-entry: 1"), "{s}");
         let rendered = q.render();
         assert!(rendered.contains("bad-status"), "{rendered}");
+    }
+
+    #[test]
+    fn quarantine_reasons_equal_the_oracle_parse() {
+        use crate::codec::tests::{gen_trail, oracle_entry};
+        for seed in 0..40 {
+            let text = gen_trail(seed, 80, 0b1111);
+            let (trail, q) = parse_trail_salvage(&text);
+            let expected: Vec<QuarantinedLine> = text
+                .lines()
+                .enumerate()
+                .filter_map(|(i, raw)| {
+                    let line = raw.trim();
+                    if line.is_empty() || line.starts_with('#') {
+                        return None;
+                    }
+                    let e = oracle_entry(line, i + 1).err()?;
+                    Some(QuarantinedLine {
+                        line: e.line,
+                        text: e.text,
+                        reason: QuarantineReason::from_parse(e.kind, e.message),
+                    })
+                })
+                .collect();
+            let parse_errors: Vec<QuarantinedLine> = q
+                .lines
+                .iter()
+                .filter(|l| l.reason.label() != "duplicate-entry")
+                .cloned()
+                .collect();
+            assert_eq!(parse_errors, expected, "seed {seed}");
+            assert_eq!(expected.len(), 4, "seed {seed}");
+            assert_eq!(trail.len(), q.kept);
+        }
     }
 
     #[test]

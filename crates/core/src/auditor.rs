@@ -20,9 +20,10 @@ use audit::entry::LogEntry;
 use audit::trail::AuditTrail;
 use bpmn::encode::{encode, Encoded};
 use bpmn::model::ProcessModel;
+use cows::automaton::frontier::FxBuildHasher;
 use cows::symbol::Symbol;
 use policy::context::PolicyContext;
-use policy::statement::{AccessRequest, Decision, Policy};
+use policy::statement::{Decision, Policy, UserRules};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -114,6 +115,50 @@ pub struct PreventiveViolation {
     pub entry_index: usize,
     pub entry: LogEntry,
     pub decision: Decision,
+}
+
+/// The preventive pass compiled for one trail by
+/// [`Auditor::compile_preventive`]: the policy's subject and action
+/// conditions per user and each case's purpose are resolved once, so
+/// checking an entry is two map probes and a scan of the statements that
+/// can still match it. [`Policy::evaluate`] stays the oracle.
+pub(crate) struct PreventivePass<'a> {
+    auditor: &'a Auditor,
+    users: HashMap<Symbol, UserRules, FxBuildHasher>,
+    purposes: HashMap<Symbol, Option<Symbol>, FxBuildHasher>,
+}
+
+impl PreventivePass<'_> {
+    /// Check `entries`, the trail's entries from position `offset` on,
+    /// appending their violations to `out` in trail order.
+    pub(crate) fn check(
+        &self,
+        entries: &[LogEntry],
+        offset: usize,
+        out: &mut Vec<PreventiveViolation>,
+    ) {
+        let Auditor {
+            policy, context, ..
+        } = self.auditor;
+        for (i, e) in entries.iter().enumerate() {
+            let Some(object) = &e.object else { continue };
+            let decision = policy.evaluate_compiled(
+                &self.users[&e.user],
+                e.action,
+                object,
+                e.task,
+                self.purposes[&e.case],
+                context,
+            );
+            if !decision.is_permit() {
+                out.push(PreventiveViolation {
+                    entry_index: offset + i,
+                    entry: e.clone(),
+                    decision,
+                });
+            }
+        }
+    }
 }
 
 /// Why a case could not be brought to a verdict (fault isolation: the
@@ -344,46 +389,47 @@ impl Auditor {
     /// object. (Objectless entries such as task cancellations have nothing
     /// to authorize.)
     pub fn preventive_check(&self, trail: &AuditTrail) -> Vec<PreventiveViolation> {
-        // Make every case's purpose known to the evaluation context
-        // (explicit registrations win; prefix rules fill the rest), so that
-        // condition (iv) of Def. 3 can be checked.
-        let mut ctx = self.context.clone();
-        for case in trail.cases() {
-            if ctx.purpose_of_case(case).is_none() {
-                if let Some(p) = self.registry.purpose_by_prefix(case) {
-                    ctx.register_case(case, p);
-                }
-            }
-        }
-        // Users with no registered activation are evaluated under the role
-        // the log recorded for them — Def. 4 stores "the role held by the
-        // user at the time the action was performed" precisely so that the
-        // a-posteriori check can reconstruct the authentication context.
-        for e in trail {
-            if ctx.active_roles(e.user).is_empty() {
-                ctx.assign_role(e.user, e.role);
-            }
-        }
         let mut out = Vec::new();
-        for (entry_index, e) in trail.iter().enumerate() {
-            let Some(object) = &e.object else { continue };
-            let req = AccessRequest {
-                user: e.user,
-                action: e.action,
-                object: object.clone(),
-                task: e.task,
-                case: e.case,
-            };
-            let decision = self.policy.evaluate(&req, &ctx);
-            if !decision.is_permit() {
-                out.push(PreventiveViolation {
-                    entry_index,
-                    entry: e.clone(),
-                    decision,
-                });
-            }
-        }
+        self.compile_preventive(trail)
+            .check(trail.entries(), 0, &mut out);
         out
+    }
+
+    /// Compile the preventive pass for `trail`: conditions (i) and (ii) of
+    /// Def. 3 for each of its users, and each of its cases' purpose.
+    pub(crate) fn compile_preventive(&self, trail: &AuditTrail) -> PreventivePass<'_> {
+        let mut users: HashMap<Symbol, UserRules, FxBuildHasher> = HashMap::default();
+        for e in trail {
+            users.entry(e.user).or_insert_with(|| {
+                // Users with no registered activation are evaluated under
+                // the role the log recorded for them on their first entry
+                // — Def. 4 stores "the role held by the user at the time
+                // the action was performed" precisely so that the
+                // a-posteriori check can reconstruct the authentication
+                // context.
+                let active = self.context.active_roles(e.user);
+                let roles = if active.is_empty() {
+                    std::slice::from_ref(&e.role)
+                } else {
+                    active
+                };
+                self.policy.rules_for(e.user, roles, self.context.roles())
+            });
+        }
+        // Explicit registrations win; prefix rules fill the rest, so that
+        // condition (iv) of Def. 3 can be checked. (Last: under
+        // `audit_parallel` another worker may still be building the
+        // case index this reads.)
+        let purposes: HashMap<Symbol, Option<Symbol>, FxBuildHasher> = trail
+            .cases()
+            .into_iter()
+            .map(|case| (case, self.resolve_case(case)))
+            .collect();
+        PreventivePass {
+            auditor: self,
+            users,
+            purposes,
+        }
     }
 
     /// Run Algorithm 1 on one case of the trail.
@@ -615,14 +661,17 @@ pub fn outcome_label(outcome: &CaseOutcome) -> &'static str {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use audit::samples::figure4_trail;
+    use audit::time::Timestamp;
     use bpmn::models::{clinical_trial, healthcare_treatment};
     use cows::sym;
+    use policy::object::{ObjectId, ObjectPattern};
     use policy::samples::{
         clinical_trial_purpose, extended_hospital_policy, hospital_context, treatment,
     };
+    use policy::statement::{AccessRequest, Action, Statement, StatementSubject};
 
     fn hospital_auditor() -> Auditor {
         let mut registry = ProcessRegistry::new();
@@ -631,6 +680,158 @@ mod tests {
         registry.add_case_prefix("HT-", treatment());
         registry.add_case_prefix("CT-", clinical_trial_purpose());
         Auditor::new(registry, extended_hospital_policy(), hospital_context())
+    }
+
+    /// The preventive pass as it was before it was compiled: a context
+    /// clone completed with every case's purpose and every unregistered
+    /// user's first logged role, then [`Policy::evaluate`] on each entry.
+    pub(crate) fn oracle_preventive(
+        a: &Auditor,
+        trail: &AuditTrail,
+    ) -> Vec<(usize, LogEntry, Decision)> {
+        let mut ctx = a.context.clone();
+        for case in trail.cases() {
+            if ctx.purpose_of_case(case).is_none() {
+                if let Some(p) = a.registry.purpose_by_prefix(case) {
+                    ctx.register_case(case, p);
+                }
+            }
+        }
+        for e in trail {
+            if ctx.active_roles(e.user).is_empty() {
+                ctx.assign_role(e.user, e.role);
+            }
+        }
+        let mut out = Vec::new();
+        for (entry_index, e) in trail.iter().enumerate() {
+            let Some(object) = &e.object else { continue };
+            let req = AccessRequest {
+                user: e.user,
+                action: e.action,
+                object: object.clone(),
+                task: e.task,
+                case: e.case,
+            };
+            let decision = a.policy.evaluate(&req, &ctx);
+            if !decision.is_permit() {
+                out.push((entry_index, e.clone(), decision));
+            }
+        }
+        out
+    }
+
+    pub(crate) fn violation_keys(v: &[PreventiveViolation]) -> Vec<(usize, LogEntry, Decision)> {
+        v.iter()
+            .map(|v| (v.entry_index, v.entry.clone(), v.decision))
+            .collect()
+    }
+
+    /// The hospital auditor with 70–110 extra generated statements (user
+    /// and role subjects, all four subject patterns), a role chain eight
+    /// deep, consent and explicitly registered cases; and a trail of
+    /// `entries` entries by users with context roles, users without (one
+    /// of them logged under two roles), objectless entries, foreign
+    /// tasks and cases of no purpose.
+    pub(crate) fn generated_preventive(seed: u64, entries: usize) -> (Auditor, AuditTrail) {
+        let mut state = seed;
+        let mut below = move |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49ba_133e_b111);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut a = hospital_auditor();
+        let chain = [
+            "Physician",
+            "Senior",
+            "Lead",
+            "Head",
+            "Chief",
+            "Director",
+            "Dean",
+        ];
+        for w in chain.windows(2) {
+            a.context.roles_mut().specializes(w[1], w[0]).unwrap();
+        }
+        a.context.assign_role("Zed", "Dean");
+        a.context.assign_role("Bob", "Janitor");
+        let roles = ["GP", "Physician", "MedicalTech", "Janitor", "Dean", "Lead"];
+        let users = ["John", "Bob", "Zed", "Dana", "Eve", "Frank", "Gus"];
+        let subjects = ["Jane", "Alice", "Carl"];
+        let paths = ["EPR", "EPR/Clinical", "EPR/Clinical/Scan", "ClinicalTrial"];
+        let actions = [Action::Read, Action::Write, Action::Execute, Action::Cancel];
+        let purposes = [treatment(), clinical_trial_purpose()];
+        for _ in 0..70 + below(41) {
+            let subject = if below(4) == 0 {
+                StatementSubject::User(sym(users[below(users.len())]))
+            } else {
+                StatementSubject::Role(sym(roles[below(roles.len())]))
+            };
+            let path = paths[below(paths.len())];
+            a.policy.add(Statement {
+                subject,
+                action: actions[below(4)],
+                object: match below(4) {
+                    0 => ObjectPattern::plain(path),
+                    1 => ObjectPattern::any_subject(path),
+                    2 => ObjectPattern::consenting(path),
+                    _ => ObjectPattern::named(subjects[below(subjects.len())], path),
+                },
+                purpose: purposes[below(2)],
+            });
+        }
+        a.context.grant_consent("Alice", clinical_trial_purpose());
+        a.context.grant_consent("Carl", treatment());
+        a.context.register_case("REG-1", clinical_trial_purpose());
+        a.context.register_case("HT-3", clinical_trial_purpose());
+        let cases = ["HT-", "CT-", "XX-", "REG-"];
+        let tasks = ["T01", "T02", "T06", "T10", "T92", "T93", "T99"];
+        let mut trail = Vec::with_capacity(entries);
+        for i in 0..entries {
+            let user = users[below(users.len())];
+            // Frank is logged under two roles; his first entry decides.
+            let role = match user {
+                "Frank" if i % 2 == 0 => "Janitor",
+                "Frank" => "GP",
+                _ => roles[below(roles.len())],
+            };
+            let path = paths[below(paths.len())];
+            let object = match below(6) {
+                0 => None,
+                1 => Some(ObjectId::plain(path)),
+                _ => Some(ObjectId::of_subject(subjects[below(subjects.len())], path)),
+            };
+            let case = format!("{}{}", cases[below(cases.len())], below(12));
+            trail.push(LogEntry::success(
+                user,
+                role,
+                actions[below(4)],
+                object,
+                tasks[below(tasks.len())],
+                case.as_str(),
+                Timestamp(i as u64 / 3),
+            ));
+        }
+        (a, AuditTrail::from_entries(trail))
+    }
+
+    #[test]
+    fn compiled_preventive_pass_equals_the_oracle() {
+        let mut decisions = std::collections::BTreeSet::new();
+        for seed in 0..24 {
+            let (a, trail) = generated_preventive(seed, 600);
+            assert!(a.policy.len() > 64);
+            let oracle = oracle_preventive(&a, &trail);
+            assert_eq!(
+                violation_keys(&a.preventive_check(&trail)),
+                oracle,
+                "seed {seed}"
+            );
+            decisions.extend(oracle.iter().map(|(_, _, d)| format!("{d:?}")));
+        }
+        // Every denial reason occurs, so none is compared vacuously.
+        assert_eq!(decisions.len(), 3, "{decisions:?}");
     }
 
     #[test]

@@ -235,7 +235,7 @@ fn put_entry(enc: &mut StateEncoder, e: &LogEntry) {
                 }
             }
             enc.put_len(obj.path.len());
-            for &p in &obj.path {
+            for &p in obj.path.iter() {
                 enc.put_sym(p);
             }
         }

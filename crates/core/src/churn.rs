@@ -154,7 +154,7 @@ fn put_entry(out: &mut Vec<u8>, e: &LogEntry, sym: &mut impl FnMut(Symbol) -> u6
             put_varint(out, sym(s));
         }
         put_varint(out, obj.path.len() as u64);
-        for &p in &obj.path {
+        for &p in obj.path.iter() {
             put_varint(out, sym(p));
         }
     }

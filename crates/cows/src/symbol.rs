@@ -60,6 +60,13 @@ impl Symbol {
         Symbol(id)
     }
 
+    /// The symbol of `text` if it is already interned. Never inserts, so
+    /// probing with untrusted text (an id from a URL, a column of a trail
+    /// being parsed in parallel) cannot grow the interner.
+    pub fn lookup(text: &str) -> Option<Symbol> {
+        interner().read().lookup.get(text).map(|&id| Symbol(id))
+    }
+
     /// The interned string.
     pub fn as_str(self) -> &'static str {
         interner().read().strings[self.0 as usize]
@@ -177,6 +184,15 @@ mod tests {
         let s = sym("index-round-trip");
         assert_eq!(Symbol::try_from_index(s.index()), Some(s));
         assert_eq!(Symbol::try_from_index(u32::MAX), None);
+    }
+
+    #[test]
+    fn lookup_finds_interned_strings_and_never_inserts() {
+        let s = sym("lookup-present");
+        assert_eq!(Symbol::lookup("lookup-present"), Some(s));
+        assert_eq!(Symbol::lookup("lookup-absent-5c1e"), None);
+        // The probe left nothing behind: the string is still unknown.
+        assert_eq!(Symbol::lookup("lookup-absent-5c1e"), None);
     }
 
     #[test]

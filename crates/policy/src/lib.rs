@@ -37,5 +37,5 @@ pub use hierarchy::RoleHierarchy;
 pub use object::{ObjectId, ObjectPattern, SubjectPattern};
 pub use parse::{format_policy, parse_policy, PolicyParseError};
 pub use statement::{
-    AccessRequest, Action, Decision, DenialReason, Policy, Statement, StatementSubject,
+    AccessRequest, Action, Decision, DenialReason, Policy, Statement, StatementSubject, UserRules,
 };

@@ -10,12 +10,18 @@ use cows::symbol::Symbol;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// A concrete object: an optional data subject plus a path.
+///
+/// The path is shared, not owned: every log entry carries its object, and
+/// a trail names few distinct objects, so cloning one (parsing a trail,
+/// projecting a case, reporting a violation) is a reference-count
+/// increment rather than an allocation.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub struct ObjectId {
     pub subject: Option<Symbol>,
-    pub path: Vec<Symbol>,
+    pub path: Arc<[Symbol]>,
 }
 
 impl ObjectId {
@@ -23,7 +29,7 @@ impl ObjectId {
     pub fn of_subject(subject: impl Into<Symbol>, path: &str) -> ObjectId {
         ObjectId {
             subject: Some(subject.into()),
-            path: split_path(path),
+            path: split_path(path).into(),
         }
     }
 
@@ -31,7 +37,7 @@ impl ObjectId {
     pub fn plain(path: &str) -> ObjectId {
         ObjectId {
             subject: None,
-            path: split_path(path),
+            path: split_path(path).into(),
         }
     }
 
@@ -40,7 +46,7 @@ impl ObjectId {
     pub fn dominates(&self, other: &ObjectId) -> bool {
         self.subject == other.subject
             && other.path.len() >= self.path.len()
-            && self.path.iter().zip(&other.path).all(|(a, b)| a == b)
+            && self.path.iter().zip(other.path.iter()).all(|(a, b)| a == b)
     }
 }
 
@@ -86,6 +92,22 @@ impl FromStr for ObjectId {
 
     /// Accepts `path/segments` and `[Subject]path/segments`.
     fn from_str(s: &str) -> Result<ObjectId, ObjectParseError> {
+        let parsed = ObjectId::parse_with(s, |text| Some(Symbol::new(text)))?;
+        Ok(parsed.expect("Symbol::new resolves every string"))
+    }
+}
+
+impl ObjectId {
+    /// The [`FromStr`] grammar over a caller's symbol source. `symbol` is
+    /// asked for the subject, then each path segment, in that order; the
+    /// parse stops with `Ok(None)` at the first string it does not
+    /// resolve. Errors are exactly those of `FromStr`, which is this over
+    /// [`Symbol::new`]; [`Symbol::lookup`] makes it a parse that never
+    /// interns.
+    pub fn parse_with(
+        s: &str,
+        mut symbol: impl FnMut(&str) -> Option<Symbol>,
+    ) -> Result<Option<ObjectId>, ObjectParseError> {
         let (subject, rest) = parse_subject_prefix(s)?;
         let subject = match subject {
             None => None,
@@ -96,21 +118,35 @@ impl FromStr for ObjectId {
                         reason: "subject wildcards are only valid in patterns",
                     });
                 }
-                Some(Symbol::new(name))
+                let Some(subject) = symbol(name) else {
+                    return Ok(None);
+                };
+                Some(subject)
             }
         };
-        let path = split_path(rest);
+        let mut path = Vec::new();
+        let mut bracketed = false;
+        for segment in rest.split('/').filter(|seg| !seg.is_empty()) {
+            let Some(seg) = symbol(segment) else {
+                return Ok(None);
+            };
+            bracketed |= segment.contains(['[', ']']);
+            path.push(seg);
+        }
         // Brackets are structural (they delimit the subject prefix): a
         // segment containing one would render to a string that re-parses
         // differently — e.g. `[a]b` as a first segment reads back as
         // subject `a`, path `b`. Reject instead of round-tripping wrong.
-        if path.iter().any(|seg| seg.as_str().contains(['[', ']'])) {
+        if bracketed {
             return Err(ObjectParseError {
                 input: s.into(),
                 reason: "brackets are reserved for the subject prefix",
             });
         }
-        Ok(ObjectId { subject, path })
+        Ok(Some(ObjectId {
+            subject,
+            path: path.into(),
+        }))
     }
 }
 
@@ -190,7 +226,7 @@ impl ObjectPattern {
         };
         subject_ok
             && o.path.len() >= self.path.len()
-            && self.path.iter().zip(&o.path).all(|(a, b)| a == b)
+            && self.path.iter().zip(o.path.iter()).all(|(a, b)| a == b)
     }
 }
 

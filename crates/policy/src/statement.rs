@@ -7,7 +7,8 @@
 //! statement purpose `p` with `q` a task of `p`.
 
 use crate::context::PolicyContext;
-use crate::object::{ObjectId, ObjectPattern};
+use crate::hierarchy::RoleHierarchy;
+use crate::object::{ObjectId, ObjectPattern, SubjectPattern};
 use cows::symbol::Symbol;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -223,6 +224,79 @@ impl Policy {
         }
         Decision::Deny(best)
     }
+
+    /// Compile conditions (i) and (ii) of Def. 3 for one user: the
+    /// statements whose subject is `user`, or a role that one of `roles`
+    /// specializes, grouped by action and kept in policy order. The
+    /// role-hierarchy walks happen here, once per user, instead of once
+    /// per request.
+    pub fn rules_for(
+        &self,
+        user: Symbol,
+        roles: &[Symbol],
+        hierarchy: &RoleHierarchy,
+    ) -> UserRules {
+        let mut rules = UserRules::default();
+        for (index, st) in self.statements.iter().enumerate() {
+            let subject_ok = match st.subject {
+                StatementSubject::User(u) => u == user,
+                StatementSubject::Role(r1) => roles
+                    .iter()
+                    .any(|&r2| hierarchy.is_specialization_of(r2, r1)),
+            };
+            if subject_ok {
+                let index = u32::try_from(index).expect("at most u32::MAX statements");
+                rules.by_action[st.action as usize].push(index);
+            }
+        }
+        rules
+    }
+
+    /// Def. 3 on compiled rules: [`Policy::evaluate`] for a request by the
+    /// user `rules` was compiled for, with the case's purpose (`None` when
+    /// the case is an instance of no purpose) resolved by the caller.
+    /// Statement order, and so the [`DenialReason`] reported, is that of
+    /// `evaluate`, which stays the oracle.
+    pub fn evaluate_compiled(
+        &self,
+        rules: &UserRules,
+        action: Action,
+        object: &ObjectId,
+        task: Symbol,
+        case_purpose: Option<Symbol>,
+        ctx: &PolicyContext,
+    ) -> Decision {
+        let mut best = DenialReason::NoMatchingStatement;
+        for &index in &rules.by_action[action as usize] {
+            let st = &self.statements[index as usize];
+            // (iii) object; consent only decides a consenting pattern.
+            let consented = st.object.subject == SubjectPattern::Consenting
+                && object
+                    .subject
+                    .is_some_and(|subj| ctx.has_consented(subj, st.purpose));
+            if !st.object.covers(object, consented) {
+                continue;
+            }
+            // (iv) purpose: case instance-of and task membership
+            if case_purpose == Some(st.purpose) {
+                if ctx.purpose_has_task(st.purpose, task) {
+                    return Decision::Permit;
+                }
+                best = DenialReason::TaskNotInPurpose;
+            } else if best == DenialReason::NoMatchingStatement {
+                best = DenialReason::CaseNotInstanceOfPurpose;
+            }
+        }
+        Decision::Deny(best)
+    }
+}
+
+/// Def. 3's conditions (i) and (ii) compiled for one user by
+/// [`Policy::rules_for`]: per action, the positions of the statements
+/// whose subject covers the user.
+#[derive(Clone, Debug, Default)]
+pub struct UserRules {
+    by_action: [Vec<u32>; 4],
 }
 
 #[cfg(test)]
@@ -398,5 +472,127 @@ mod tests {
             st.to_string(),
             "(role:Physician, read, [*]EPR/Clinical, treatment)"
         );
+    }
+
+    /// SplitMix64: a seeded stream for generated policies.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49ba_133e_b111);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A policy of 70–120 statements over user and role subjects, every
+    /// action and all four subject patterns; a role hierarchy with a
+    /// chain eight deep plus side branches; consent, registered and
+    /// unregistered cases, and purpose task sets.
+    fn generated(seed: u64) -> (Policy, PolicyContext, Vec<AccessRequest>) {
+        let mut g = Gen(seed);
+        let name = |prefix: &str, i: usize| sym(&format!("gen-{prefix}{i}"));
+        let mut roles = RoleHierarchy::new();
+        for depth in 1..8 {
+            roles
+                .specializes(name("r", depth), name("r", depth - 1))
+                .unwrap();
+        }
+        for side in 8..12 {
+            let _ = roles.specializes(name("r", side), name("r", g.below(8)));
+        }
+        let mut ctx = PolicyContext::new(roles);
+        for user in 0..3 {
+            for _ in 0..1 + g.below(2) {
+                ctx.assign_role(name("u", user), name("r", g.below(12)));
+            }
+        }
+        for case in 0..6 {
+            if case < 5 {
+                ctx.register_case(name("c", case), name("p", g.below(3)));
+            }
+        }
+        for purpose in 0..3 {
+            for task in 0..4 {
+                if g.below(3) > 0 {
+                    ctx.register_purpose_task(name("p", purpose), name("t", task));
+                }
+            }
+        }
+        for subject in 0..3 {
+            for purpose in 0..3 {
+                if g.below(2) == 0 {
+                    ctx.grant_consent(name("s", subject), name("p", purpose));
+                }
+            }
+        }
+        let actions = [Action::Read, Action::Write, Action::Execute, Action::Cancel];
+        let paths = ["EPR", "EPR/Clinical", "EPR/Clinical/Scan", "Trial"];
+        let mut statements = Vec::new();
+        for _ in 0..70 + g.below(51) {
+            let subject = if g.below(4) == 0 {
+                StatementSubject::User(name("u", g.below(5)))
+            } else {
+                StatementSubject::Role(name("r", g.below(12)))
+            };
+            let path = paths[g.below(paths.len())];
+            let object = match g.below(4) {
+                0 => ObjectPattern::plain(path),
+                1 => ObjectPattern::any_subject(path),
+                2 => ObjectPattern::consenting(path),
+                _ => ObjectPattern::named(name("s", g.below(3)), path),
+            };
+            statements.push(Statement {
+                subject,
+                action: actions[g.below(4)],
+                object,
+                purpose: name("p", g.below(3)),
+            });
+        }
+        let requests = (0..200)
+            .map(|_| {
+                let path = paths[g.below(paths.len())];
+                AccessRequest {
+                    user: name("u", g.below(5)),
+                    action: actions[g.below(4)],
+                    object: if g.below(4) == 0 {
+                        ObjectId::plain(path)
+                    } else {
+                        ObjectId::of_subject(name("s", g.below(4)), path)
+                    },
+                    task: name("t", g.below(5)),
+                    case: name("c", g.below(7)),
+                }
+            })
+            .collect();
+        (Policy::with_statements(statements), ctx, requests)
+    }
+
+    #[test]
+    fn compiled_evaluation_equals_evaluate() {
+        let mut decisions = std::collections::BTreeMap::new();
+        for seed in 0..64 {
+            let (policy, ctx, requests) = generated(seed);
+            assert!(policy.len() > 64);
+            for req in &requests {
+                let rules = policy.rules_for(req.user, ctx.active_roles(req.user), ctx.roles());
+                let compiled = policy.evaluate_compiled(
+                    &rules,
+                    req.action,
+                    &req.object,
+                    req.task,
+                    ctx.purpose_of_case(req.case),
+                    &ctx,
+                );
+                let oracle = policy.evaluate(req, &ctx);
+                assert_eq!(compiled, oracle, "seed {seed}: {req}");
+                *decisions.entry(format!("{oracle:?}")).or_insert(0) += 1;
+            }
+        }
+        // The generator reaches every outcome, so the equality is not
+        // vacuous for any of them.
+        assert_eq!(decisions.len(), 4, "{decisions:?}");
     }
 }

@@ -705,7 +705,11 @@ pub fn verdict_label(handle: &MonitorHandle, case: cows::symbol::Symbol) -> Opti
 }
 
 fn case_verdict(tenant: &Tenant, id: &str) -> Outcome {
-    let case = cows::sym(id);
+    // Probe, never intern: an id the process has never seen is no case
+    // of any tenant, and a read must not grow the interner.
+    let Some(case) = cows::symbol::Symbol::lookup(id) else {
+        return not_found("unknown case");
+    };
     let Some(label) = verdict_label(&tenant.handle, case) else {
         return not_found("unknown case");
     };
