@@ -36,7 +36,9 @@ use purpose_control::parallel::audit_parallel;
 use purpose_control::replay::{
     check_case, check_case_with, CaseCheck, CheckOptions, Engine, Verdict,
 };
-use purpose_control::{LiveConfig, LiveStats, ReplayTrie, ShardedMonitor};
+use purpose_control::{
+    ChurnCheckpoint, LiveConfig, LiveStats, MonitorCheckpoint, ReplayTrie, ShardedMonitor,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serve::{client, ServeConfig, Server, TenantSpec};
@@ -1156,7 +1158,7 @@ fn live_run(day: &SharedDay, config: &LiveConfig) -> (ShardedMonitor, f64) {
     (live, took)
 }
 
-fn p13_churn(day: &SharedDay) -> String {
+fn p13_churn(day: &SharedDay, codec: &(ChurnCheckpoint, MonitorCheckpoint)) -> String {
     use purpose_control::checkpoint::{decode_monitor, encode_monitor};
     use purpose_control::churn::{decode_churn, encode_churn};
 
@@ -1221,9 +1223,9 @@ fn p13_churn(day: &SharedDay) -> String {
     // Case-record codec micro-bench on a representative eviction victim:
     // the run-local record against its durable form (see
     // [`bench::spill_codec_fixtures`]).
-    let (churn, durable) = bench::spill_codec_fixtures();
-    let pcle = encode_churn(&churn);
-    let durable_bytes = encode_monitor(&durable).unwrap();
+    let (churn, durable) = codec;
+    let pcle = encode_churn(churn);
+    let durable_bytes = encode_monitor(durable).unwrap();
     const CODEC_ITERS: u32 = 2_000;
     let per_op = |f: &dyn Fn()| {
         let d = median_time(
@@ -1236,7 +1238,7 @@ fn p13_churn(day: &SharedDay) -> String {
         );
         d.as_nanos() as u64 / u64::from(CODEC_ITERS)
     };
-    let pcle_enc = per_op(&|| drop(black_box(encode_churn(black_box(&churn)))));
+    let pcle_enc = per_op(&|| drop(black_box(encode_churn(black_box(churn)))));
     let pcle_dec = per_op(&|| drop(black_box(decode_churn(black_box(&pcle)).unwrap())));
     // What a rehydration cycle pays is record decode alone — the entry
     // window stays in wire form. Materializing it (the alarm path, and the
@@ -1246,7 +1248,7 @@ fn p13_churn(day: &SharedDay) -> String {
         let c = decode_churn(black_box(&pcle)).unwrap();
         drop(black_box(c.entries.decode(c.case).unwrap()));
     });
-    let durable_enc = per_op(&|| drop(black_box(encode_monitor(black_box(&durable)).unwrap())));
+    let durable_enc = per_op(&|| drop(black_box(encode_monitor(black_box(durable)).unwrap())));
     let durable_dec = per_op(&|| {
         drop(black_box(
             decode_monitor(black_box(&durable_bytes)).unwrap(),
@@ -1268,11 +1270,10 @@ fn p13_churn(day: &SharedDay) -> String {
         stats.spilled_bytes / 1024,
     );
     println!(
-        "churn: {} evictions ({} avoided), {} rehydrations, {} tier hits, {} disk demotions \
+        "churn: {} evictions, {} rehydrations, {} tier hits, {} disk demotions \
          ({disk_reduction:.0}x fewer than evictions), {} log bytes, {} compactions, \
          {} cap rebalances, {} retired",
         stats.evictions,
-        stats.evictions_avoided,
         stats.rehydrations,
         stats.spill_tier_hits,
         stats.spill_disk_demotions,
@@ -1308,8 +1309,8 @@ fn p13_churn(day: &SharedDay) -> String {
            \"batch\": {{ \"seconds\": {:.6}, \"infringing_cases\": {} }},\n  \
            \"live\": {{ \"seconds\": {live_secs:.6}, \"alarms\": {} }},\n  \
            \"live_over_batch\": {live_over_batch:.4},\n  \
-           \"counters\": {{ \"evictions\": {}, \"evictions_avoided\": {}, \
-             \"rehydrations\": {}, \"retired\": {}, \"spilled_bytes\": {}, \
+           \"counters\": {{ \"evictions\": {}, \"rehydrations\": {}, \
+              \"retired\": {}, \"spilled_bytes\": {}, \
              \"spill_tier_hits\": {}, \"spill_disk_demotions\": {}, \
              \"spill_log_bytes\": {}, \"spill_compactions\": {}, \"cap_rebalances\": {} }},\n  \
            \"disk_eviction_reduction\": {disk_reduction:.1},\n  \
@@ -1329,7 +1330,6 @@ fn p13_churn(day: &SharedDay) -> String {
         day.batch.infringing_cases(),
         stats.alarms,
         stats.evictions,
-        stats.evictions_avoided,
         stats.rehydrations,
         stats.retired,
         stats.spilled_bytes,
@@ -1980,8 +1980,11 @@ fn main() {
     let flag = |f: &str| argv.iter().any(|a| a == f);
     let (quick, gate) = (flag("--quick"), flag("--gate"));
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_replay.json");
-    let day = OnceCell::new();
-    let day = || day.get_or_init(|| SharedDay::new(quick));
+    // Built before any section interns a symbol: run-local records pack
+    // interner indices as varints, so their sizes (P13's codec row, P15's
+    // log bytes) would otherwise depend on which sections ran first.
+    let day = SharedDay::new(quick);
+    let codec = bench::spill_codec_fixtures();
     // Every record, in file order. P13–P17 can rerun alone (`--only-p13` …
     // `--only-p17`), replacing their record in the existing file.
     let sections: [(&str, &dyn Fn() -> String); 9] = [
@@ -1989,10 +1992,10 @@ fn main() {
         ("p9_snapshot_warm_start", &|| p9_snapshot_warm_start(quick)),
         ("p10_degraded_mode", &|| p10_degraded_mode(quick)),
         ("p11_observability", &|| p11_observability(quick)),
-        ("p13_churn", &|| p13_churn(day())),
-        ("p14_serve", &|| p14_serve(day(), quick)),
-        ("p15_durability", &|| p15_durability(day(), quick)),
-        ("p16_tracing", &|| p16_tracing(day(), quick)),
+        ("p13_churn", &|| p13_churn(&day, &codec)),
+        ("p14_serve", &|| p14_serve(&day, quick)),
+        ("p15_durability", &|| p15_durability(&day, quick)),
+        ("p16_tracing", &|| p16_tracing(&day, quick)),
         ("p17_trie", &|| p17_trie(quick, gate)),
     ];
     let only = sections[4..].iter().find(|(key, _)| {

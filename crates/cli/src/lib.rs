@@ -879,7 +879,6 @@ fn cmd_watch(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
         mem_spill_bytes: args
             .flag_num("spill-mem-kib", defaults.mem_spill_bytes / 1024)?
             .saturating_mul(1024),
-        eviction_debounce: defaults.eviction_debounce,
         durability: durability_flag(args)?,
     };
     let durability = config.durability;
@@ -1040,12 +1039,11 @@ fn cmd_watch(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
     writeln!(
         out,
         "spill: {} tier hits, {} disk demotions, {} log bytes, {} compactions, \
-         {} evictions avoided, {} cap rebalances",
+         {} cap rebalances",
         stats.spill_tier_hits,
         stats.spill_disk_demotions,
         stats.spill_log_bytes,
         stats.spill_compactions,
-        stats.evictions_avoided,
         stats.cap_rebalances
     )
     .ok();

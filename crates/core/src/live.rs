@@ -27,12 +27,6 @@
 //! Eviction is engineered for *churn*, not durability (P12 measured the
 //! old durable path at 8× batch time under an undersized cap):
 //!
-//! * **Hysteresis** — the resident set is segmented: cases enter on
-//!   *probation* and are *protected* once re-touched; victims are drawn
-//!   probation-first, and a freshly rehydrated case is shielded for
-//!   [`LiveConfig::eviction_debounce`] LRU ticks so hot cases stop
-//!   thrashing through the spill store ([`LiveStats::evictions_avoided`]
-//!   counts every time the shield overrode plain LRU).
 //! * **One case record** — an evicted session travels as a compact
 //!   [`crate::churn`] `PCLE` record in the run-local namespace (raw
 //!   automaton ids + interner indices, varint-packed), for either engine.
@@ -108,9 +102,6 @@ pub struct LiveConfig {
     /// with a `spill_dir` — without one there is nowhere to demote to and
     /// the tier is unbounded.
     pub mem_spill_bytes: usize,
-    /// How many LRU ticks a freshly rehydrated case is shielded from
-    /// eviction (the churn debounce). `None` disables the shield.
-    pub eviction_debounce: Option<u64>,
     /// Fsync cadence for the spill log and checkpoint writes (the
     /// `--durability` knob; see [`crate::durable::SyncPolicy`]).
     pub durability: SyncPolicy,
@@ -124,7 +115,6 @@ impl Default for LiveConfig {
             idle_eviction: None,
             spill_dir: None,
             mem_spill_bytes: 8 * 1024 * 1024,
-            eviction_debounce: Some(32),
             durability: SyncPolicy::default(),
         }
     }
@@ -152,9 +142,6 @@ pub struct LiveStats {
     pub retired: u64,
     /// Total bytes handed to the spill store (pre-compression).
     pub spilled_bytes: u64,
-    /// Times the hysteresis policy (probation/protected segments + the
-    /// rehydration shield) overrode the plain-LRU victim.
-    pub evictions_avoided: u64,
     /// Rehydrations served from the in-memory spill tier (no disk).
     pub spill_tier_hits: u64,
     /// Blobs demoted from the memory tier onto the spill log — the real
@@ -192,7 +179,6 @@ impl LiveStats {
             rehydrations: self.rehydrations + other.rehydrations,
             retired: self.retired + other.retired,
             spilled_bytes: self.spilled_bytes + other.spilled_bytes,
-            evictions_avoided: self.evictions_avoided + other.evictions_avoided,
             spill_tier_hits: self.spill_tier_hits + other.spill_tier_hits,
             spill_disk_demotions: self.spill_disk_demotions + other.spill_disk_demotions,
             spill_log_bytes: self.spill_log_bytes + other.spill_log_bytes,
@@ -218,7 +204,6 @@ impl LiveStats {
             rehydrations: self.rehydrations - earlier.rehydrations,
             retired: self.retired - earlier.retired,
             spilled_bytes: self.spilled_bytes - earlier.spilled_bytes,
-            evictions_avoided: self.evictions_avoided - earlier.evictions_avoided,
             spill_tier_hits: self.spill_tier_hits - earlier.spill_tier_hits,
             spill_disk_demotions: self.spill_disk_demotions - earlier.spill_disk_demotions,
             spill_log_bytes: self.spill_log_bytes - earlier.spill_log_bytes,
@@ -265,13 +250,8 @@ struct LiveCase {
     entries_dropped: u64,
     /// Trail-time of the last observed entry (idle-eviction clock).
     last_seen: Timestamp,
-    /// LRU tick of the last observation.
+    /// LRU tick of the last observation (unique per monitor).
     touched: u64,
-    /// Hysteresis segment: `false` = probation (admitted once), `true` =
-    /// protected (re-touched while resident). Victims come probation-first.
-    protected: bool,
-    /// Shielded from eviction until this LRU tick (rehydration debounce).
-    shielded_until: u64,
 }
 
 impl LiveCase {
@@ -483,8 +463,7 @@ impl LiveAuditor {
             return Ok(LiveEvent::AfterAlarm { case });
         }
 
-        let was_resident = self.cases.contains_key(&case);
-        if !was_resident {
+        if !self.cases.contains_key(&case) {
             if self.spill.contains(case) {
                 self.rehydrate(case)?;
             } else {
@@ -513,8 +492,6 @@ impl LiveAuditor {
                         entries_dropped: 0,
                         last_seen: entry.time,
                         touched: 0,
-                        protected: false,
-                        shielded_until: 0,
                     },
                 );
             }
@@ -524,33 +501,20 @@ impl LiveAuditor {
         }
 
         self.tick += 1;
-        let tick = self.tick;
-        let promoted = {
-            let live = self.cases.get_mut(&case).expect("admitted above");
-            live.entries.push(entry);
-            while live.entries.len() > self.config.max_entries_per_case.max(1) {
-                live.entries.pop_front();
-                live.entries_dropped += 1;
-            }
-            // Monotone: a salvaged or clock-skewed trail can carry entries
-            // whose timestamps regress. `high_water` only ever rises, so
-            // letting a regressing entry drag `last_seen` back down would
-            // make the idle sweep see a just-touched case as stale and
-            // evict it spuriously.
-            live.last_seen = live.last_seen.max(entry.time);
-            live.touched = tick;
-            // Second touch while resident promotes probation → protected.
-            let promote = was_resident && !live.protected;
-            if promote {
-                live.protected = true;
-            }
-            promote
-        };
-        if promoted {
-            self.demote_protected_overflow(case);
-        }
-
         let live = self.cases.get_mut(&case).expect("admitted above");
+        live.entries.push(entry);
+        while live.entries.len() > self.config.max_entries_per_case.max(1) {
+            live.entries.pop_front();
+            live.entries_dropped += 1;
+        }
+        // Monotone: a salvaged or clock-skewed trail can carry entries
+        // whose timestamps regress. `high_water` only ever rises, so
+        // letting a regressing entry drag `last_seen` back down would
+        // make the idle sweep see a just-touched case as stale and
+        // evict it spuriously.
+        live.last_seen = live.last_seen.max(entry.time);
+        live.touched = self.tick;
+
         let hierarchy = self.auditor.context.roles();
         match live.core.feed(&live.process.encoded, hierarchy, entry)? {
             FeedOutcome::Accepted { .. } => Ok(LiveEvent::Accepted { case }),
@@ -731,8 +695,7 @@ impl LiveAuditor {
             })
     }
 
-    /// Rebuild an evicted session and re-admit it, shielded from the next
-    /// few evictions (the churn debounce).
+    /// Rebuild an evicted session and re-admit it.
     fn rehydrate(&mut self, case: Symbol) -> Result<(), CheckError> {
         let rehydrate_start = std::time::Instant::now();
         let bytes = self
@@ -745,19 +708,17 @@ impl LiveAuditor {
                 detail: format!("case {case} is not in the spill store"),
             })?;
         let (process, c) = self.spilled_record(&bytes)?;
-        self.admit(process, c, self.config.eviction_debounce)?;
+        self.admit(process, c)?;
         self.stats.rehydrations += 1;
         self.record_stage(obs::Stage::Rehydrate, rehydrate_start, case);
         Ok(())
     }
 
-    /// Rebuild a session from a run-local record and make it resident,
-    /// shielded from eviction for `debounce` LRU ticks.
+    /// Rebuild a session from a run-local record and make it resident.
     fn admit(
         &mut self,
         process: Arc<RegisteredProcess>,
         c: ChurnCheckpoint,
-        debounce: Option<u64>,
     ) -> Result<(), CheckError> {
         let core =
             SessionCore::from_interned(&process.encoded, self.auditor.options, c.ids, c.meta)?;
@@ -771,70 +732,25 @@ impl LiveAuditor {
                 entries_dropped: c.entries_dropped,
                 last_seen: c.last_seen,
                 touched: self.tick,
-                protected: false,
-                shielded_until: debounce.map_or(0, |d| self.tick + d),
             },
         );
         Ok(())
     }
 
-    /// The protected segment's share of the resident budget.
-    fn protected_cap(&self) -> usize {
-        (self.resident_cap * 3 / 4).max(1)
-    }
-
-    /// Demote least-recently-touched protected cases back to probation
-    /// until the protected segment fits its share, sparing `keep` (the
-    /// case whose promotion triggered the check).
-    fn demote_protected_overflow(&mut self, keep: Symbol) {
-        let cap = self.protected_cap();
-        loop {
-            let over = self.cases.values().filter(|l| l.protected).count() > cap;
-            if !over {
-                return;
-            }
+    /// Evict sessions until the resident set fits the budget, never
+    /// shedding `keep`. The victim is the least-recently-touched case;
+    /// ticks are unique, so the choice never depends on map order.
+    fn enforce_capacity(&mut self, keep: Option<Symbol>) -> Result<(), CheckError> {
+        while self.cases.len() > self.resident_cap {
             let victim = self
                 .cases
                 .iter()
-                .filter(|(c, l)| **c != keep && l.protected)
+                .filter(|(c, _)| keep != Some(**c))
                 .min_by_key(|(_, l)| l.touched)
                 .map(|(c, _)| *c);
-            match victim {
-                Some(v) => self.cases.get_mut(&v).expect("from iter above").protected = false,
-                None => return,
-            }
-        }
-    }
-
-    /// Evict sessions until the resident set fits the budget, never
-    /// shedding `keep`.
-    ///
-    /// Victim order is the hysteresis policy: unshielded probation first,
-    /// then unshielded protected, then — only when every candidate is
-    /// shielded — plain LRU. Whenever that order spares the globally
-    /// least-recently-touched case, `evictions_avoided` counts the save.
-    fn enforce_capacity(&mut self, keep: Option<Symbol>) -> Result<(), CheckError> {
-        while self.cases.len() > self.resident_cap {
-            let tick = self.tick;
-            let candidates = || self.cases.iter().filter(|(c, _)| keep != Some(**c));
-            let global_lru = candidates().min_by_key(|(_, l)| l.touched).map(|(c, _)| *c);
-            let Some(global_lru) = global_lru else {
+            let Some(victim) = victim else {
                 break;
             };
-            let victim = candidates()
-                .filter(|(_, l)| !l.protected && l.shielded_until <= tick)
-                .min_by_key(|(_, l)| l.touched)
-                .map(|(c, _)| *c)
-                .or_else(|| {
-                    candidates()
-                        .filter(|(_, l)| l.protected && l.shielded_until <= tick)
-                        .min_by_key(|(_, l)| l.touched)
-                        .map(|(c, _)| *c)
-                })
-                .unwrap_or(global_lru);
-            if victim != global_lru {
-                self.stats.evictions_avoided += 1;
-            }
             let before = self.cases.len();
             self.evict(victim)?;
             if self.cases.len() == before {
@@ -1032,7 +948,7 @@ impl LiveAuditor {
                     .map_or(c.last_seen, |h| h.max(c.last_seen)),
             );
             if resident.contains(&i) {
-                monitor.admit(process, c, None)?;
+                monitor.admit(process, c)?;
             } else {
                 monitor
                     .spill
@@ -1310,8 +1226,8 @@ mod tests {
             )
         };
         let mut monitors = [
-            monitor_with(crate::replay::Engine::Trie, 2),
-            monitor_with(crate::replay::Engine::Direct, 2),
+            monitor_with(crate::replay::Engine::Trie, 1),
+            monitor_with(crate::replay::Engine::Direct, 1),
             monitor_with(crate::replay::Engine::Trie, 1024),
             monitor_with(crate::replay::Engine::Direct, 1024),
         ];
@@ -1478,7 +1394,7 @@ mod tests {
         // No spill_dir: every spill lands in the memory tier, so every
         // rehydration must be a tier hit and the log must stay untouched.
         let config = LiveConfig {
-            max_open_cases: 2,
+            max_open_cases: 1,
             ..LiveConfig::default()
         };
         let mut monitor = LiveAuditor::with_config(auditor(), config);
@@ -1491,45 +1407,6 @@ mod tests {
         assert_eq!(stats.spill_tier_hits, stats.rehydrations);
         assert_eq!(stats.spill_disk_demotions, 0);
         assert_eq!(stats.spill_log_bytes, 0);
-    }
-
-    #[test]
-    fn rehydration_shield_overrides_plain_lru() {
-        // Four cases against a budget of two, each replaying the (valid)
-        // HT-1 entry sequence under its own name. The interleaving is
-        // chosen so the globally least-recently-touched case is shielded
-        // by a fresh rehydration exactly when capacity next bites.
-        let ht1: Vec<LogEntry> = figure4_trail()
-            .project_case(sym("HT-1"))
-            .into_iter()
-            .cloned()
-            .collect();
-        let entry_for = |case: &str, step: usize| LogEntry {
-            case: sym(case),
-            ..ht1[step].clone()
-        };
-        let config = LiveConfig {
-            max_open_cases: 2,
-            eviction_debounce: Some(100),
-            ..LiveConfig::default()
-        };
-        let mut monitor = LiveAuditor::with_config(auditor(), config);
-        monitor.observe(&entry_for("HT-a", 0)).unwrap(); // resident: a
-        monitor.observe(&entry_for("HT-b", 0)).unwrap(); // resident: a b
-        monitor.observe(&entry_for("HT-c", 0)).unwrap(); // evicts a (plain LRU)
-        assert!(!monitor.cases.contains_key(&sym("HT-a")));
-        monitor.observe(&entry_for("HT-a", 1)).unwrap(); // rehydrates a (shielded), evicts b
-        assert_eq!(monitor.stats().rehydrations, 1);
-        monitor.observe(&entry_for("HT-c", 1)).unwrap(); // touches c (→ protected)
-                                                         // Admitting d: the global LRU is the shielded a; the policy must
-                                                         // spare it and take c instead.
-        monitor.observe(&entry_for("HT-d", 0)).unwrap();
-        assert!(
-            monitor.cases.contains_key(&sym("HT-a")),
-            "shielded case must survive"
-        );
-        assert!(!monitor.cases.contains_key(&sym("HT-c")));
-        assert_eq!(monitor.stats().evictions_avoided, 1);
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub const AUDIT_COUNTERS: &[&str] = &[
     "live_alarms_total",
     "live_cap_rebalances",
     "live_entries_total",
-    "live_evictions_avoided",
     "live_evictions_total",
     "live_rehydrations_total",
     "live_retired_total",
@@ -143,7 +142,6 @@ pub fn record_live_metrics(shard: &mut Shard, delta: &crate::live::LiveStats) {
     shard.add_counter("live_rehydrations_total", delta.rehydrations);
     shard.add_counter("live_retired_total", delta.retired);
     shard.add_counter("live_spilled_bytes_total", delta.spilled_bytes);
-    shard.add_counter("live_evictions_avoided", delta.evictions_avoided);
     shard.add_counter("live_spill_tier_hits", delta.spill_tier_hits);
     shard.add_counter("live_spill_disk_demotions", delta.spill_disk_demotions);
     shard.add_counter("live_spill_log_bytes", delta.spill_log_bytes);
