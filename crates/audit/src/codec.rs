@@ -290,17 +290,33 @@ enum LineError {
 /// The one line parser behind [`parse_trail`] and
 /// [`crate::salvage::parse_trail_salvage`].
 ///
-/// Columns are split by `split_whitespace` into a fixed array, without a
-/// per-line `Vec`. Column values are memoised for the parse: string →
-/// [`Symbol`] and object text → [`ObjectId`]. The memos keep the standard
-/// library's seeded hasher: their keys are untrusted text, which could be
-/// crafted to collide under a fixed hash. A memo miss goes through the
-/// column's own `FromStr`, so every error kind and message is theirs.
+/// Columns are split into a fixed array, without a per-line `Vec`: an
+/// ASCII line byte by byte, any other line by `split_whitespace`
+/// ([`columns`]). Timestamps are read by `Timestamp::from_str`. Column
+/// values are memoised for the parse: string → [`Symbol`] and object text
+/// → [`ObjectId`]. The memos keep the standard library's seeded hasher:
+/// their keys are untrusted text, which could be crafted to collide under
+/// a fixed hash. In front of them sits each case's last entry: the
+/// entries of a case mostly repeat its user, role and object, and
+/// comparing a column with the last entry's text is cheaper than a memo
+/// lookup. A memo miss goes through the column's own `FromStr`, so every
+/// error kind and message is theirs.
 pub(crate) struct LineParser<'a> {
     /// Whether unseen strings are interned, or only probed for.
     interning: bool,
     symbols: HashMap<&'a str, Symbol>,
     objects: HashMap<&'a str, ObjectId>,
+    /// Case text → the case's [`LastEntry`] in `last`.
+    cases: HashMap<&'a str, usize>,
+    last: Vec<LastEntry<'a>>,
+}
+
+/// The columns of a case's last parsed entry, as text and value.
+struct LastEntry<'a> {
+    /// User, role, task and case.
+    names: [(&'a str, Symbol); 4],
+    /// The last object named, if any was.
+    object: Option<(&'a str, ObjectId)>,
 }
 
 impl<'a> LineParser<'a> {
@@ -310,6 +326,8 @@ impl<'a> LineParser<'a> {
             interning: true,
             symbols: HashMap::default(),
             objects: HashMap::default(),
+            cases: HashMap::default(),
+            last: Vec::new(),
         }
     }
 
@@ -352,8 +370,12 @@ impl<'a> LineParser<'a> {
         let action = col[2]
             .parse()
             .map_err(|e| bad(ParseErrorKind::Action, format!("{e}")))?;
+        let seen = self.cases.get(col[5]).copied();
+        let last_object = seen.and_then(|k| self.last[k].object.as_ref());
         let object = if col[3] == "N/A" {
             None
+        } else if let Some((_, object)) = last_object.filter(|(text, _)| *text == col[3]) {
+            Some(object.clone())
         } else {
             match self.object(col[3]) {
                 Ok(Some(object)) => Some(object),
@@ -374,14 +396,42 @@ impl<'a> LineParser<'a> {
                 ))
             }
         };
+        let last_names = seen.map(|k| self.last[k].names);
+        let was = |i: usize| last_names.map(|names| names[i]);
         let (Some(user), Some(role), Some(task), Some(case)) = (
-            self.symbol(col[0]),
-            self.symbol(col[1]),
-            self.symbol(col[4]),
-            self.symbol(col[5]),
+            self.name(was(0), col[0]),
+            self.name(was(1), col[1]),
+            self.name(was(2), col[4]),
+            self.name(was(3), col[5]),
         ) else {
             return Err(LineError::Unknown);
         };
+        let names = [
+            (col[0], user),
+            (col[1], role),
+            (col[4], task),
+            (col[5], case),
+        ];
+        match seen {
+            Some(k) => {
+                let last = &mut self.last[k];
+                last.names = names;
+                let same = last
+                    .object
+                    .as_ref()
+                    .is_some_and(|(text, _)| *text == col[3]);
+                if object.is_some() && !same {
+                    last.object = object.clone().map(|object| (col[3], object));
+                }
+            }
+            None => {
+                self.cases.insert(col[5], self.last.len());
+                self.last.push(LastEntry {
+                    names,
+                    object: object.clone().map(|object| (col[3], object)),
+                });
+            }
+        }
         Ok(LogEntry {
             user,
             role,
@@ -392,6 +442,15 @@ impl<'a> LineParser<'a> {
             time,
             status,
         })
+    }
+
+    /// The symbol of `text`: `last`'s if it names the same text (the
+    /// case's last entry), else [`LineParser::symbol`]'s.
+    fn name(&mut self, last: Option<(&str, Symbol)>, text: &'a str) -> Option<Symbol> {
+        match last {
+            Some((was, symbol)) if was == text => Some(symbol),
+            _ => self.symbol(text),
+        }
     }
 
     fn symbol(&mut self, text: &'a str) -> Option<Symbol> {
@@ -425,17 +484,51 @@ impl<'a> LineParser<'a> {
 }
 
 /// The first eight whitespace-separated columns of `line`, and how many
-/// columns it has: `split_whitespace`, without allocating.
+/// columns it has, as `split_whitespace` splits it, without allocating.
+/// An ASCII line is split byte by byte on the ASCII bytes that
+/// `char::is_whitespace` accepts ([`is_ascii_separator`]); a line with
+/// any other byte may hold non-ASCII whitespace (U+00A0, U+2028, …) and
+/// goes through `split_whitespace` itself.
 fn columns(line: &str) -> ([&str; 8], usize) {
     let mut col = [""; 8];
     let mut got = 0;
-    for token in line.split_whitespace() {
+    if !line.is_ascii() {
+        for token in line.split_whitespace() {
+            if got < col.len() {
+                col[got] = token;
+            }
+            got += 1;
+        }
+        return (col, got);
+    }
+    let bytes = line.as_bytes();
+    let mut at = 0;
+    loop {
+        while at < bytes.len() && is_ascii_separator(bytes[at]) {
+            at += 1;
+        }
+        if at == bytes.len() {
+            return (col, got);
+        }
+        let start = at;
+        while at < bytes.len() && !is_ascii_separator(bytes[at]) {
+            at += 1;
+        }
         if got < col.len() {
-            col[got] = token;
+            col[got] = &line[start..at];
         }
         got += 1;
     }
-    (col, got)
+}
+
+/// Whether `char::is_whitespace` accepts the ASCII byte `b`: tab, line
+/// feed, vertical tab, form feed, carriage return and space.
+/// `u8::is_ascii_whitespace` is not the same set: it omits the vertical
+/// tab.
+fn is_ascii_separator(b: u8) -> bool {
+    const SEPARATORS: u64 =
+        1 << b'\t' | 1 << b'\n' | 1 << 0x0b | 1 << 0x0c | 1 << b'\r' | 1 << b' ';
+    b <= b' ' && SEPARATORS & (1 << b) != 0
 }
 
 /// Render a trail back to its text form (inverse of [`parse_trail`]).
@@ -797,6 +890,111 @@ pub(crate) mod tests {
                 first_seen.windows(2).all(|w| w[0].index() < w[1].index()),
                 "{chunks} chunks: {first_seen:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_case_s_last_entry_is_recalled_only_for_the_same_text() {
+        // One case whose entries change user, role, object and task
+        // between and back, drop the object, and name a malformed one;
+        // a second case interleaved with its own columns.
+        let tag = fresh_tag();
+        let rows = [
+            "@u1 GP read [s1]EPR/A T1 @c1",
+            "@u1 GP read [s1]EPR/A T1 @c2",
+            "@u2 GP read [s1]EPR/A T1 @c1",
+            "@u2 Nurse write [s2]EPR/A T2 @c1",
+            "@u2 Nurse cancel N/A T2 @c1",
+            "@u2 Nurse read [s2]EPR/A T2 @c1",
+            "@u1 GP read [s1]EPR/A T1 @c1",
+            "@u9 GP read [s3]EPR/B T1 @c2",
+        ];
+        let mut text = String::new();
+        for (i, row) in rows.iter().enumerate() {
+            let row = row.replace('@', &tag);
+            text.push_str(&format!("{row} 2010031212{i:02} success\n"));
+        }
+        for chunks in 1..=2 {
+            assert_eq!(parse_trail_chunked(&text, chunks), oracle_parse(&text));
+        }
+        let bad = text.replacen("[s2]EPR/A T2", "[s2 T2", 1);
+        let e = parse_trail_chunked(&bad, 1).unwrap_err();
+        assert_eq!((e.line, e.kind), (4, ParseErrorKind::Object));
+        assert_eq!(parse_trail_chunked(&bad, 1), oracle_parse(&bad));
+    }
+
+    #[test]
+    fn ascii_separators_are_the_ascii_whitespace_chars() {
+        for b in 0..=0x7f {
+            assert_eq!(
+                is_ascii_separator(b),
+                char::from(b).is_whitespace(),
+                "{b:#04x}"
+            );
+        }
+    }
+
+    /// Every separator `split_whitespace` knows of that a test line uses:
+    /// the six ASCII ones and three non-ASCII ones.
+    const SEPARATORS: [&str; 9] = [
+        "\t", "\n", "\x0b", "\x0c", "\r", " ", "\u{a0}", "\u{2028}", "\u{3000}",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Ordinary tokens (an entry's columns, then extras) joined by
+        /// runs of separators, with runs at either end: the columns are
+        /// `split_whitespace`'s, and the line parses as the oracle
+        /// parses it.
+        #[test]
+        fn columns_split_as_split_whitespace_does(
+            runs in prop::collection::vec(prop::collection::vec(0usize..9, 1..4), 8..12),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut g = Gen(seed);
+            let tag = fresh_tag();
+            let user = match g.below(3) {
+                0 => format!("J\u{fc}rgen{tag}"),
+                _ => format!("{tag}u{}", g.below(4)),
+            };
+            let object = match g.below(3) {
+                0 => "N/A".to_string(),
+                _ => format!("[{tag}s{}]EPR/Clinical", g.below(4)),
+            };
+            let time = format!("2010{:02}{:02}1210", 1 + g.below(12), 1 + g.below(28));
+            let mut tokens = vec![
+                user,
+                format!("{tag}r"),
+                g.pick(&["read", "write", "poke"]).to_string(),
+                object,
+                format!("{tag}T{}", g.below(3)),
+                format!("{tag}c{}", g.below(3)),
+                time,
+                g.pick(&["success", "failure"]).to_string(),
+            ];
+            // 7 to 11 tokens: one short, exact, or up to three extra.
+            let count = runs.len() - 1;
+            tokens.resize_with(count, || format!("x{}", g.below(9)));
+            let run = |k: usize| runs[k].iter().map(|&i| SEPARATORS[i]).collect::<String>();
+            let mut line = if g.below(3) == 0 { run(0) } else { String::new() };
+            for (k, token) in tokens.iter().enumerate() {
+                if k > 0 {
+                    line.push_str(&run(k));
+                }
+                line.push_str(token);
+            }
+            if g.below(3) == 0 {
+                line.push_str(&run(count));
+            }
+
+            let (col, got) = columns(&line);
+            let expected: Vec<&str> = line.split_whitespace().collect();
+            prop_assert_eq!(got, expected.len());
+            let first: Vec<&str> = expected.iter().copied().take(8).collect();
+            prop_assert_eq!(&col[..got.min(8)], &first[..]);
+            let parsed = LineParser::interning().parse_entry(&line, 7);
+            prop_assert_eq!(parsed, oracle_entry(&line, 7));
         }
     }
 

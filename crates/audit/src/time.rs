@@ -50,9 +50,26 @@ fn days_in_month(year: u64, month: u64) -> u64 {
     }
 }
 
+/// Days in the year before the first of each month, February having 28.
+const DAYS_BEFORE_MONTH: [u64; 12] = [0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334];
+
+/// Leap years in `1..=year`.
+fn leap_years_through(year: u64) -> u64 {
+    year / 4 - year / 100 + year / 400
+}
+
+/// Days from 0000-03-01 to 2000-01-01 in the proleptic Gregorian
+/// calendar: [`Timestamp::to_ymd_hm`] counts in years that start on
+/// March 1, so a leap day is the last day of its year.
+const MARCH_0000_TO_2000: u64 = 730_425;
+
+/// Days in a 400-year Gregorian cycle.
+const DAYS_PER_ERA: u64 = 146_097;
+
 impl Timestamp {
     /// Build from calendar fields. Years before 2000 are rejected (the
-    /// paper's trails start in 2010).
+    /// paper's trails start in 2010), and so is a year whose instant
+    /// does not fit the `u64` of minutes.
     pub fn from_ymd_hm(
         year: u64,
         month: u64,
@@ -79,41 +96,39 @@ impl Timestamp {
         if minute > 59 {
             return Err(bad("minute out of range"));
         }
-        let mut days: u64 = 0;
-        for y in 2000..year {
-            days += if is_leap(y) { 366 } else { 365 };
-        }
-        for m in 1..month {
-            days += days_in_month(year, m);
-        }
-        days += day - 1;
-        Ok(Timestamp(days * 1440 + hour * 60 + minute))
+        let leap_day = u64::from(month > 2 && is_leap(year));
+        let in_year = DAYS_BEFORE_MONTH[month as usize - 1] + leap_day + day - 1;
+        let leap_days = leap_years_through(year - 1) - leap_years_through(1999);
+        (year - 2000)
+            .checked_mul(365)
+            .and_then(|days| days.checked_add(leap_days + in_year))
+            .and_then(|days| days.checked_mul(1440))
+            .and_then(|minutes| minutes.checked_add(hour * 60 + minute))
+            .map(Timestamp)
+            .ok_or_else(|| bad("year out of range"))
     }
 
     /// Decompose back into `(year, month, day, hour, minute)`.
     pub fn to_ymd_hm(self) -> (u64, u64, u64, u64, u64) {
-        let minutes = self.0;
-        let mut days = minutes / 1440;
-        let hm = minutes % 1440;
-        let mut year = 2000;
-        loop {
-            let len = if is_leap(year) { 366 } else { 365 };
-            if days < len {
-                break;
-            }
-            days -= len;
-            year += 1;
-        }
-        let mut month = 1;
-        loop {
-            let len = days_in_month(year, month);
-            if days < len {
-                break;
-            }
-            days -= len;
-            month += 1;
-        }
-        (year, month, days + 1, hm / 60, hm % 60)
+        let hm = self.0 % 1440;
+        // Civil-from-days over March-based years (H. Hinnant's
+        // `civil_from_days`): a whole number of 400-year cycles, then the
+        // year, day and month within the cycle.
+        let days = self.0 / 1440 + MARCH_0000_TO_2000;
+        let era = days / DAYS_PER_ERA;
+        let of_era = days % DAYS_PER_ERA;
+        let year_of_era =
+            (of_era - of_era / 1460 + of_era / 36_524 - of_era / (DAYS_PER_ERA - 1)) / 365;
+        let of_year = of_era - (365 * year_of_era + year_of_era / 4 - year_of_era / 100);
+        let march_month = (5 * of_year + 2) / 153;
+        let day = of_year - (153 * march_month + 2) / 5 + 1;
+        let month = if march_month < 10 {
+            march_month + 3
+        } else {
+            march_month - 9
+        };
+        let year = era * 400 + year_of_era + u64::from(month <= 2);
+        (year, month, day, hm / 60, hm % 60)
     }
 
     pub fn plus_minutes(self, m: u64) -> Timestamp {
@@ -142,7 +157,12 @@ impl FromStr for Timestamp {
                 reason: "expected 12 digits (yyyymmddHHMM)",
             });
         }
-        let num = |r: std::ops::Range<usize>| s[r].parse::<u64>().expect("digits checked");
+        let digits = s.as_bytes();
+        let num = |r: std::ops::Range<usize>| {
+            digits[r]
+                .iter()
+                .fold(0, |n, &d| n * 10 + u64::from(d - b'0'))
+        };
         Timestamp::from_ymd_hm(num(0..4), num(4..6), num(6..8), num(8..10), num(10..12))
     }
 }
@@ -150,6 +170,95 @@ impl FromStr for Timestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The year loop of the old `from_ymd_hm`: days before `year`,
+    /// walked from 2000. With [`oracle_days_before_month`], the oracle of
+    /// the closed form.
+    fn oracle_days_before_year(year: u64) -> u64 {
+        let mut days: u64 = 0;
+        for y in 2000..year {
+            days += if is_leap(y) { 366 } else { 365 };
+        }
+        days
+    }
+
+    /// The month loop of the old `from_ymd_hm`.
+    fn oracle_days_before_month(year: u64, month: u64) -> u64 {
+        let mut days: u64 = 0;
+        for m in 1..month {
+            days += days_in_month(year, m);
+        }
+        days
+    }
+
+    /// The old `to_ymd_hm`, a walk from 2000: the oracle of the closed
+    /// form.
+    fn oracle_to_ymd_hm(t: Timestamp) -> (u64, u64, u64, u64, u64) {
+        let minutes = t.0;
+        let mut days = minutes / 1440;
+        let hm = minutes % 1440;
+        let mut year = 2000;
+        loop {
+            let len = if is_leap(year) { 366 } else { 365 };
+            if days < len {
+                break;
+            }
+            days -= len;
+            year += 1;
+        }
+        let mut month = 1;
+        loop {
+            let len = days_in_month(year, month);
+            if days < len {
+                break;
+            }
+            days -= len;
+            month += 1;
+        }
+        (year, month, days + 1, hm / 60, hm % 60)
+    }
+
+    /// Every day from 2000-01-01 to 9999-12-31, at 00:00 and 23:59,
+    /// against the walks. A walk from 2000 per date would take ~10^10
+    /// steps, so the year loop runs once per year; `to_ymd_hm`'s walk
+    /// runs per date over the first 400-year cycle (the calendar's
+    /// period) and per month start over the last 400 years.
+    #[test]
+    fn closed_forms_equal_the_walks_on_every_day_to_9999() {
+        for year in 2000..=9999 {
+            let year_start = oracle_days_before_year(year);
+            for month in 1..=12 {
+                let month_start = year_start + oracle_days_before_month(year, month);
+                for day in 1..=days_in_month(year, month) {
+                    for (hour, minute) in [(0, 0), (23, 59)] {
+                        let minutes = (month_start + day - 1) * 1440 + hour * 60 + minute;
+                        let t = Timestamp::from_ymd_hm(year, month, day, hour, minute).unwrap();
+                        assert_eq!(t, Timestamp(minutes), "{t}");
+                        let fields = (year, month, day, hour, minute);
+                        assert_eq!(t.to_ymd_hm(), fields);
+                        if year < 2400 || (year >= 9600 && day == 1) {
+                            assert_eq!(oracle_to_ymd_hm(t), fields);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extreme_instants_and_years_do_not_loop_wrap_or_panic() {
+        let last = Timestamp(u64::MAX);
+        let text = last.to_string();
+        let (y, mo, d, h, mi) = last.to_ymd_hm();
+        assert_eq!(Timestamp::from_ymd_hm(y, mo, d, h, mi), Ok(last), "{text}");
+        assert!(text.starts_with(&y.to_string()) && text.ends_with(&format!("{h:02}{mi:02}")));
+        let past = Timestamp::from_ymd_hm(y + 1, 1, 1, 0, 0).unwrap_err();
+        assert_eq!(past.reason, "year out of range");
+        for year in [u64::MAX / 365, u64::MAX / 4, u64::MAX] {
+            let e = Timestamp::from_ymd_hm(year, 1, 1, 0, 0).unwrap_err();
+            assert_eq!(e.reason, "year out of range", "{year}");
+        }
+    }
 
     #[test]
     fn paper_timestamp_round_trips() {

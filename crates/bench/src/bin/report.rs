@@ -1179,8 +1179,20 @@ fn p13_churn(day: &SharedDay, codec: &(ChurnCheckpoint, MonitorCheckpoint)) -> S
 
     // Disk-eviction reduction: the pre-tier design wrote one spill file
     // per eviction; the tiered store only touches disk on memory-tier
-    // overflow. The ratio is the ">= 10x fewer disk evictions" claim.
-    let disk_reduction = stats.evictions as f64 / (stats.spill_disk_demotions.max(1)) as f64;
+    // overflow. The ratio is the ">= 10x fewer disk evictions" claim; with
+    // no disk demotion at all it is undefined, and recorded as `null`.
+    let disk_reduction = (stats.spill_disk_demotions > 0)
+        .then(|| stats.evictions as f64 / stats.spill_disk_demotions as f64);
+    let (disk_demotions, disk_reduction_json) = match disk_reduction {
+        Some(ratio) => (
+            format!(
+                "{} disk demotions ({ratio:.0}x fewer than evictions)",
+                stats.spill_disk_demotions
+            ),
+            format!("{ratio:.1}"),
+        ),
+        None => ("no disk demotions".to_string(), "null".to_string()),
+    };
 
     // Verdict equivalence: every case the batch auditor judged must get
     // the same verdict, severity included, out of the evicting monitor.
@@ -1270,13 +1282,11 @@ fn p13_churn(day: &SharedDay, codec: &(ChurnCheckpoint, MonitorCheckpoint)) -> S
         stats.spilled_bytes / 1024,
     );
     println!(
-        "churn: {} evictions, {} rehydrations, {} tier hits, {} disk demotions \
-         ({disk_reduction:.0}x fewer than evictions), {} log bytes, {} compactions, \
-         {} cap rebalances, {} retired",
+        "churn: {} evictions, {} rehydrations, {} tier hits, {disk_demotions}, \
+         {} log bytes, {} compactions, {} cap rebalances, {} retired",
         stats.evictions,
         stats.rehydrations,
         stats.spill_tier_hits,
-        stats.spill_disk_demotions,
         stats.spill_log_bytes,
         stats.spill_compactions,
         stats.cap_rebalances,
@@ -1313,7 +1323,7 @@ fn p13_churn(day: &SharedDay, codec: &(ChurnCheckpoint, MonitorCheckpoint)) -> S
               \"retired\": {}, \"spilled_bytes\": {}, \
              \"spill_tier_hits\": {}, \"spill_disk_demotions\": {}, \
              \"spill_log_bytes\": {}, \"spill_compactions\": {}, \"cap_rebalances\": {} }},\n  \
-           \"disk_eviction_reduction\": {disk_reduction:.1},\n  \
+           \"disk_eviction_reduction\": {disk_reduction_json},\n  \
            \"codec\": {{ \"pcle_bytes\": {}, \"durable_bytes\": {}, \
              \"pcle_encode_ns\": {pcle_enc}, \"pcle_decode_ns\": {pcle_dec}, \
              \"pcle_decode_full_ns\": {pcle_dec_full}, \
