@@ -26,6 +26,7 @@
 //! renumbered entry by entry when a durable record is written or read.
 
 use crate::session::SessionMeta;
+use crate::spill::SpillBlob;
 use audit::entry::{LogEntry, TaskStatus};
 use audit::time::Timestamp;
 use cows::automaton::StateId;
@@ -33,6 +34,7 @@ use cows::symbol::Symbol;
 use cows::SnapshotError;
 use policy::object::ObjectId;
 use policy::statement::Action;
+use std::ops::Range;
 
 /// Magic for a churn (same-run eviction) record.
 pub const CHURN_MAGIC: [u8; 4] = *b"PCLE";
@@ -255,11 +257,12 @@ fn skip_entry(bytes: &[u8], pos: &mut usize) -> Result<(), SnapshotError> {
 /// on the next eviction — O(window) per cycle for data nothing reads while
 /// the case is merely resident. Keeping the window in wire form makes the
 /// cycle O(new entries): eviction splices the block's bytes into the
-/// envelope verbatim, rehydration slices them back out, and appending a
-/// freshly observed entry encodes just that entry (which is also cheaper
-/// than the `LogEntry` clone it replaces). The window is only materialized
-/// where entries are actually consumed — severity assessment at alarm time
-/// — and renumbered at whole-monitor checkpoints.
+/// envelope verbatim, rehydration adopts the spilled record's buffer as the
+/// block (`start` points at the window, the dead prefix is the envelope),
+/// and appending a freshly observed entry encodes just that entry (which
+/// is also cheaper than the `LogEntry` clone it replaces). The window is
+/// only materialized where entries are actually consumed — severity
+/// assessment at alarm time — and renumbered at whole-monitor checkpoints.
 #[derive(Clone, Debug, Default)]
 pub struct EntryBlock {
     /// Number of encoded entries between `start` and the end of `bytes`.
@@ -293,9 +296,15 @@ impl EntryBlock {
 
     /// Rebuild a block from its wire representation.
     fn from_wire(count: usize, bytes: Vec<u8>) -> EntryBlock {
+        EntryBlock::adopt(count, 0, bytes)
+    }
+
+    /// A block over `bytes[start..]`, which holds `count` encoded entries;
+    /// the prefix is dead bytes that a later front trim compacts away.
+    fn adopt(count: usize, start: usize, bytes: Vec<u8>) -> EntryBlock {
         EntryBlock {
             count,
-            start: 0,
+            start,
             bytes,
         }
     }
@@ -413,11 +422,25 @@ const NAME_NONE: u8 = 0;
 const NAME_IS_CASE: u8 = 1;
 const NAME_INLINE: u8 = 2;
 
-/// Serialize a run-local record (eviction). No checksum, no symbol table,
-/// no version field — see the module docs for why that is sound for a
-/// record that never leaves this run.
+/// Serialize a run-local record. No checksum, no symbol table, no version
+/// field — see the module docs for why that is sound for a record that
+/// never leaves this run.
 pub fn encode_churn(c: &ChurnCheckpoint) -> Vec<u8> {
     encode_record(c, &c.entries, run_local)
+}
+
+/// Serialize a run-local record straight into a spill frame (eviction):
+/// `c`'s own window is ignored and `entries` is written in its place, read
+/// by reference, so the resident window is copied once, into the frame.
+pub(crate) fn encode_churn_blob(c: &ChurnCheckpoint, entries: &EntryBlock) -> SpillBlob {
+    let mut blob = SpillBlob::with_capacity(record_capacity(c, entries));
+    write_record(blob.buf(), c, entries, run_local);
+    blob
+}
+
+/// Envelope + counters ≈ 40 B, plus the window verbatim, each id ≈ 2 B.
+fn record_capacity(c: &ChurnCheckpoint, entries: &EntryBlock) -> usize {
+    48 + entries.live().len() + 4 * c.ids.len()
 }
 
 /// The one field layout of a case record. `sym` numbers symbols in the
@@ -426,22 +449,32 @@ pub fn encode_churn(c: &ChurnCheckpoint) -> Vec<u8> {
 pub(crate) fn encode_record(
     c: &ChurnCheckpoint,
     entries: &EntryBlock,
-    mut sym: impl FnMut(Symbol) -> u64,
+    sym: impl FnMut(Symbol) -> u64,
 ) -> Vec<u8> {
-    // Envelope + counters ≈ 40 B, plus the window verbatim, each id ≈ 2 B.
-    let mut out = Vec::with_capacity(48 + entries.live().len() + 4 * c.ids.len());
+    let mut out = Vec::with_capacity(record_capacity(c, entries));
+    write_record(&mut out, c, entries, sym);
+    out
+}
+
+/// [`encode_record`], appending to `out`.
+fn write_record(
+    out: &mut Vec<u8>,
+    c: &ChurnCheckpoint,
+    entries: &EntryBlock,
+    mut sym: impl FnMut(Symbol) -> u64,
+) {
     out.extend_from_slice(&CHURN_MAGIC);
-    put_varint(&mut out, sym(c.case));
-    put_varint(&mut out, sym(c.purpose));
+    put_varint(out, sym(c.case));
+    put_varint(out, sym(c.purpose));
     out.extend_from_slice(&c.process_key.to_le_bytes());
-    put_varint(&mut out, c.meta.consumed as u64);
-    put_varint(&mut out, c.meta.explored as u64);
-    put_varint(&mut out, c.meta.peak as u64);
+    put_varint(out, c.meta.consumed as u64);
+    put_varint(out, c.meta.explored as u64);
+    put_varint(out, c.meta.peak as u64);
     match c.meta.first_time {
         None => out.push(0),
         Some(t) => {
             out.push(1);
-            put_varint(&mut out, t.0);
+            put_varint(out, t.0);
         }
     }
     match &c.meta.case_name {
@@ -449,22 +482,21 @@ pub(crate) fn encode_record(
         Some(name) if name == c.case.as_str() => out.push(NAME_IS_CASE),
         Some(name) => {
             out.push(NAME_INLINE);
-            put_varint(&mut out, name.len() as u64);
+            put_varint(out, name.len() as u64);
             out.extend_from_slice(name.as_bytes());
         }
     }
-    put_varint(&mut out, c.entries_dropped);
-    put_varint(&mut out, c.last_seen.0);
+    put_varint(out, c.entries_dropped);
+    put_varint(out, c.last_seen.0);
     // The window travels verbatim: entry count, byte length, raw records.
     let window = entries.live();
-    put_varint(&mut out, entries.len() as u64);
-    put_varint(&mut out, window.len() as u64);
+    put_varint(out, entries.len() as u64);
+    put_varint(out, window.len() as u64);
     out.extend_from_slice(window);
-    put_varint(&mut out, c.ids.len() as u64);
+    put_varint(out, c.ids.len() as u64);
     for &id in &c.ids {
-        put_varint(&mut out, u64::from(id));
+        put_varint(out, u64::from(id));
     }
-    out
 }
 
 /// Decode a run-local record. Fail-open with the same typed errors as the
@@ -474,6 +506,19 @@ pub fn decode_churn(bytes: &[u8]) -> Result<ChurnCheckpoint, SnapshotError> {
     decode_record(bytes, run_local_lookup(Symbol::interned_len()))
 }
 
+/// Decode a run-local record out of a spill frame (rehydration), with
+/// every check of [`decode_churn`]. The frame's buffer becomes the entry
+/// window: nothing is copied, the envelope before the window is the
+/// block's dead prefix, and the id list after it is truncated off.
+pub(crate) fn decode_churn_blob(blob: SpillBlob) -> Result<ChurnCheckpoint, SnapshotError> {
+    let (mut bytes, at) = blob.into_parts();
+    let (mut c, count, window) =
+        decode_fields(&bytes, at, run_local_lookup(Symbol::interned_len()))?;
+    bytes.truncate(window.end);
+    c.entries = EntryBlock::adopt(count, window.start, bytes);
+    Ok(c)
+}
+
 /// Decode a record in the namespace `sym` resolves. The window comes back
 /// in wire form, still numbered in that namespace; `ids` are returned as
 /// written.
@@ -481,13 +526,26 @@ pub(crate) fn decode_record(
     bytes: &[u8],
     sym: impl Fn(u64) -> Result<Symbol, SnapshotError>,
 ) -> Result<ChurnCheckpoint, SnapshotError> {
-    if bytes.len() < 4 {
+    let (mut c, count, window) = decode_fields(bytes, 0, sym)?;
+    c.entries = EntryBlock::from_wire(count, bytes[window].to_vec());
+    Ok(c)
+}
+
+/// Decode the record that fills `bytes[start..]`: every field but the
+/// window, which is returned as its entry count and byte range (the
+/// record's `entries` is left empty for the caller to fill).
+fn decode_fields(
+    bytes: &[u8],
+    start: usize,
+    sym: impl Fn(u64) -> Result<Symbol, SnapshotError>,
+) -> Result<(ChurnCheckpoint, usize, Range<usize>), SnapshotError> {
+    if bytes.len() < start + 4 {
         return Err(SnapshotError::Truncated);
     }
-    if bytes[..4] != CHURN_MAGIC {
+    if bytes[start..start + 4] != CHURN_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let mut pos = 4;
+    let mut pos = start + 4;
     let case = get_sym(bytes, &mut pos, &sym)?;
     let purpose = get_sym(bytes, &mut pos, &sym)?;
     if pos + 8 > bytes.len() {
@@ -522,7 +580,9 @@ pub(crate) fn decode_record(
         Some(NAME_INLINE) => {
             pos += 1;
             let len = get_varint(bytes, &mut pos)? as usize;
-            let raw = bytes.get(pos..pos + len).ok_or(SnapshotError::Truncated)?;
+            let raw = bytes
+                .get(pos..pos.saturating_add(len))
+                .ok_or(SnapshotError::Truncated)?;
             pos += len;
             Some(
                 std::str::from_utf8(raw)
@@ -541,13 +601,13 @@ pub(crate) fn decode_record(
     if nentries.saturating_mul(5) > nbytes {
         return Err(SnapshotError::Malformed("entry count longer than window"));
     }
-    let raw = bytes
-        .get(pos..pos.saturating_add(nbytes))
-        .ok_or(SnapshotError::Truncated)?;
-    pos += nbytes;
+    let window = pos..pos.saturating_add(nbytes);
+    if window.end > bytes.len() {
+        return Err(SnapshotError::Truncated);
+    }
     // The window stays in wire form — rehydration pays O(ids + meta), and
     // the entries decode only at an alarm or a checkpoint.
-    let entries = EntryBlock::from_wire(nentries, raw.to_vec());
+    pos = window.end;
     let nids = get_varint(bytes, &mut pos)? as usize;
     if nids > bytes.len() {
         return Err(SnapshotError::Malformed("id count longer than blob"));
@@ -562,7 +622,7 @@ pub(crate) fn decode_record(
     if pos != bytes.len() {
         return Err(SnapshotError::Malformed("trailing bytes after case record"));
     }
-    Ok(ChurnCheckpoint {
+    let record = ChurnCheckpoint {
         case,
         purpose,
         process_key,
@@ -574,10 +634,11 @@ pub(crate) fn decode_record(
             first_time,
             case_name,
         },
-        entries,
+        entries: EntryBlock::default(),
         entries_dropped,
         last_seen,
-    })
+    };
+    Ok((record, nentries, window))
 }
 
 #[cfg(test)]
@@ -665,6 +726,70 @@ mod tests {
         let back = decode_churn(&bytes).unwrap();
         assert_eq!(back, c);
         assert_eq!(encode_churn(&back), bytes);
+    }
+
+    #[test]
+    fn adopted_window_behaves_as_the_copied_one() {
+        // The same spilled record decoded both ways: adopting the frame
+        // (rehydration) and copying the window out (`from_wire`).
+        let c = sample();
+        let blob = encode_churn_blob(&c, &c.entries);
+        let copied = decode_churn(blob.payload()).unwrap();
+        let adopted = decode_churn_blob(blob).unwrap();
+        assert_eq!(adopted, copied);
+        assert_eq!(adopted, c);
+        let (mut a, mut b) = (adopted.entries, copied.entries);
+        assert!(
+            a.start > 0 && b.start == 0,
+            "the envelope is the dead prefix"
+        );
+        let more = c.entries.decode(c.case).unwrap();
+        let durable = |block: &EntryBlock| block.to_durable(c.case, |s| u64::from(s.index()) + 7);
+        let mut compacted = false;
+        for step in 0..24u64 {
+            let e = LogEntry {
+                time: Timestamp(201007061000 + step),
+                ..more[step as usize % more.len()].clone()
+            };
+            a.push(&e);
+            b.push(&e);
+            // Hold a window of at most four, one shorter every third step,
+            // so the front crosses the compaction point more than once.
+            let pops = a.len().saturating_sub(4) + usize::from(step % 3 == 2);
+            for _ in 0..pops {
+                let before = a.start;
+                a.pop_front();
+                b.pop_front();
+                compacted |= a.start < before;
+            }
+            assert_eq!(a, b, "step {step}");
+            assert_eq!(a.decode(c.case), b.decode(c.case), "step {step}");
+            assert_eq!(durable(&a), durable(&b), "step {step}");
+        }
+        assert!(compacted, "the adopted prefix was compacted away");
+    }
+
+    #[test]
+    fn damaged_frames_fail_typed_on_the_by_value_path() {
+        let c = sample();
+        let payload = encode_churn_blob(&c, &c.entries).payload().to_vec();
+        // Every proper prefix is missing a field or its tail.
+        for len in 0..payload.len() {
+            let cut = SpillBlob::from_payload(&payload[..len]);
+            assert!(decode_churn_blob(cut).is_err(), "truncation at {len}");
+        }
+        // A flipped byte either still decodes (there is no checksum in a
+        // run-local record) or is a typed error — never a panic, and a
+        // window that decodes reads back as entries or a typed error.
+        for at in 0..payload.len() {
+            for flip in [0x01u8, 0x80, 0xff] {
+                let mut bad = payload.clone();
+                bad[at] ^= flip;
+                if let Ok(r) = decode_churn_blob(SpillBlob::from_payload(&bad)) {
+                    let _ = r.entries.decode(r.case);
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,18 +40,18 @@
 
 use crate::auditor::{Auditor, RegisteredProcess};
 use crate::checkpoint::{decode_monitor, encode_monitor, MonitorCheckpoint, RestoreError};
-use crate::churn::{decode_churn, encode_churn, ChurnCheckpoint, EntryBlock};
+use crate::churn::{decode_churn_blob, encode_churn_blob, ChurnCheckpoint, EntryBlock};
 use crate::durable::SyncPolicy;
 use crate::error::CheckError;
 use crate::replay::{CaseCheck, Infringement, Verdict};
 use crate::session::{FeedOutcome, SessionCore};
 use crate::severity::{assess, SeverityAssessment};
-use crate::spill::SpillStore;
+use crate::spill::{SpillBlob, SpillStore};
 use audit::entry::LogEntry;
 use audit::time::Timestamp;
 use cows::symbol::Symbol;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -237,6 +237,10 @@ pub struct ClosedCase {
     pub after_alarm: u64,
 }
 
+/// Stale entries the LRU order may hold beyond one per resident case
+/// before it is compacted (see [`LiveAuditor::touch`]).
+const LRU_SLACK: usize = 32;
+
 /// An open case resident in memory.
 struct LiveCase {
     process: Arc<RegisteredProcess>,
@@ -255,20 +259,34 @@ struct LiveCase {
 }
 
 impl LiveCase {
-    /// The case's run-local record.
-    fn record(&self, case: Symbol, process_key: u64) -> ChurnCheckpoint {
+    /// The case's run-local record without its window, which the caller
+    /// reads from `self.entries`.
+    fn header(&self, case: Symbol, process_key: u64) -> ChurnCheckpoint {
         ChurnCheckpoint {
             case,
             purpose: self.process.purpose,
             process_key,
             ids: self.core.conf_ids(&self.process.encoded),
             meta: self.core.export_meta(),
-            // The window splices into the record as bytes — eviction cost
-            // is O(ids), not O(window).
-            entries: self.entries.clone(),
+            entries: EntryBlock::default(),
             entries_dropped: self.entries_dropped,
             last_seen: self.last_seen,
         }
+    }
+
+    /// The case's run-local record (whole-monitor checkpoints).
+    fn record(&self, case: Symbol, process_key: u64) -> ChurnCheckpoint {
+        ChurnCheckpoint {
+            entries: self.entries.clone(),
+            ..self.header(case, process_key)
+        }
+    }
+
+    /// The case's run-local record, encoded into a spill frame. The window
+    /// splices in as bytes, read by reference — eviction cost is O(ids)
+    /// plus one copy of the window.
+    fn spill_blob(&self, case: Symbol, process_key: u64) -> SpillBlob {
+        encode_churn_blob(&self.header(case, process_key), &self.entries)
     }
 }
 
@@ -289,6 +307,11 @@ pub struct LiveAuditor {
     alarm_order: Vec<Symbol>,
     /// Monotone LRU clock.
     tick: u64,
+    /// LRU order: `(tick, case)` for every touch, oldest first. The entry
+    /// whose tick equals its case's `touched` is live; the rest are stale
+    /// (the case was touched again or left the resident set) and are
+    /// skipped when met at the front.
+    lru: VecDeque<(u64, Symbol)>,
     /// Highest trail timestamp seen (idle-eviction reference).
     high_water: Option<Timestamp>,
     /// Current resident budget — starts at `config.max_open_cases`, moved
@@ -331,6 +354,7 @@ impl LiveAuditor {
             closed: HashMap::new(),
             alarm_order: Vec::new(),
             tick: 0,
+            lru: VecDeque::new(),
             high_water: None,
             resident_cap,
             stats: LiveStats::default(),
@@ -483,15 +507,17 @@ impl LiveAuditor {
                     obs::Recorder::noop(),
                     None,
                 )?;
+                let process = process.clone();
+                let touched = self.touch(case);
                 self.cases.insert(
                     case,
                     LiveCase {
-                        process: process.clone(),
+                        process,
                         core,
                         entries: EntryBlock::default(),
                         entries_dropped: 0,
                         last_seen: entry.time,
-                        touched: 0,
+                        touched,
                     },
                 );
             }
@@ -500,7 +526,7 @@ impl LiveAuditor {
             self.enforce_capacity(Some(case))?;
         }
 
-        self.tick += 1;
+        let touched = self.touch(case);
         let live = self.cases.get_mut(&case).expect("admitted above");
         live.entries.push(entry);
         while live.entries.len() > self.config.max_entries_per_case.max(1) {
@@ -513,7 +539,7 @@ impl LiveAuditor {
         // make the idle sweep see a just-touched case as stale and
         // evict it spuriously.
         live.last_seen = live.last_seen.max(entry.time);
-        live.touched = self.tick;
+        live.touched = touched;
 
         let hierarchy = self.auditor.context.roles();
         match live.core.feed(&live.process.encoded, hierarchy, entry)? {
@@ -594,7 +620,7 @@ impl LiveAuditor {
     }
 
     fn peek_spilled(&self, case: Symbol) -> Result<CaseCheck, CheckError> {
-        let (process, c) = self.spilled_record(&self.load_spilled(case)?)?;
+        let (process, c) = self.spilled_record(self.load_spilled(case)?)?;
         SessionCore::from_interned(&process.encoded, self.auditor.options, c.ids, c.meta)?
             .finish(&process.encoded)
     }
@@ -602,9 +628,9 @@ impl LiveAuditor {
     /// Decode a spilled record and resolve its process.
     fn spilled_record(
         &self,
-        bytes: &[u8],
+        blob: SpillBlob,
     ) -> Result<(Arc<RegisteredProcess>, ChurnCheckpoint), CheckError> {
-        let c = decode_churn(bytes).map_err(checkpoint_error)?;
+        let c = decode_churn_blob(blob).map_err(checkpoint_error)?;
         let process = self.validated_process(c.case, c.purpose, c.process_key)?;
         Ok((process, c))
     }
@@ -649,8 +675,9 @@ impl LiveAuditor {
             return Ok(());
         };
         let spill_start = std::time::Instant::now();
-        let bytes = encode_churn(&live.record(case, live.process.key()));
-        match self.spill.insert(case, &bytes) {
+        let blob = live.spill_blob(case, live.process.key());
+        let spilled_bytes = blob.payload().len() as u64;
+        match self.spill.insert(case, blob) {
             Ok(()) => {}
             Err(e) if e.is_no_space() => {
                 // Disk full. Degrade instead of failing: the case stays
@@ -677,14 +704,14 @@ impl LiveAuditor {
                 });
             }
         }
-        self.stats.spilled_bytes += bytes.len() as u64;
+        self.stats.spilled_bytes += spilled_bytes;
         self.cases.remove(&case);
         self.stats.evictions += 1;
         self.record_stage(obs::Stage::Spill, spill_start, case);
         Ok(())
     }
 
-    fn load_spilled(&self, case: Symbol) -> Result<Vec<u8>, CheckError> {
+    fn load_spilled(&self, case: Symbol) -> Result<SpillBlob, CheckError> {
         self.spill
             .peek(case)
             .map_err(|e| CheckError::Checkpoint {
@@ -698,7 +725,7 @@ impl LiveAuditor {
     /// Rebuild an evicted session and re-admit it.
     fn rehydrate(&mut self, case: Symbol) -> Result<(), CheckError> {
         let rehydrate_start = std::time::Instant::now();
-        let bytes = self
+        let blob = self
             .spill
             .take(case)
             .map_err(|e| CheckError::Checkpoint {
@@ -707,7 +734,7 @@ impl LiveAuditor {
             .ok_or_else(|| CheckError::Checkpoint {
                 detail: format!("case {case} is not in the spill store"),
             })?;
-        let (process, c) = self.spilled_record(&bytes)?;
+        let (process, c) = self.spilled_record(blob)?;
         self.admit(process, c)?;
         self.stats.rehydrations += 1;
         self.record_stage(obs::Stage::Rehydrate, rehydrate_start, case);
@@ -722,7 +749,7 @@ impl LiveAuditor {
     ) -> Result<(), CheckError> {
         let core =
             SessionCore::from_interned(&process.encoded, self.auditor.options, c.ids, c.meta)?;
-        self.tick += 1;
+        let touched = self.touch(c.case);
         self.cases.insert(
             c.case,
             LiveCase {
@@ -731,10 +758,42 @@ impl LiveAuditor {
                 entries: c.entries,
                 entries_dropped: c.entries_dropped,
                 last_seen: c.last_seen,
-                touched: self.tick,
+                touched,
             },
         );
         Ok(())
+    }
+
+    /// Take the next LRU tick for `case` and append it to the LRU order;
+    /// the caller stores it as the case's `touched`. Stale entries are
+    /// compacted away first once they would outnumber the resident cases
+    /// by more than [`LRU_SLACK`], so the order holds at most
+    /// `2 × resident + LRU_SLACK` entries after a touch, evicting or not,
+    /// at O(1) amortized cost.
+    fn touch(&mut self, case: Symbol) -> u64 {
+        if self.lru.len() >= 2 * self.cases.len() + LRU_SLACK {
+            let cases = &self.cases;
+            self.lru
+                .retain(|(tick, c)| cases.get(c).is_some_and(|l| l.touched == *tick));
+        }
+        self.tick += 1;
+        self.lru.push_back((self.tick, case));
+        self.tick
+    }
+
+    /// The least-recently-touched resident case other than `keep`: the
+    /// first live entry of the LRU order, popping the stale ones before
+    /// it. Ticks are unique and increase, so this is exactly the resident
+    /// case with the smallest `touched`. `keep` is always the case touched
+    /// last, so when it is the first live entry no other case is resident.
+    fn lru_victim(&mut self, keep: Option<Symbol>) -> Option<Symbol> {
+        while let Some(&(tick, case)) = self.lru.front() {
+            if self.cases.get(&case).is_some_and(|l| l.touched == tick) {
+                return (keep != Some(case)).then_some(case);
+            }
+            self.lru.pop_front();
+        }
+        None
     }
 
     /// Evict sessions until the resident set fits the budget, never
@@ -742,12 +801,19 @@ impl LiveAuditor {
     /// ticks are unique, so the choice never depends on map order.
     fn enforce_capacity(&mut self, keep: Option<Symbol>) -> Result<(), CheckError> {
         while self.cases.len() > self.resident_cap {
-            let victim = self
-                .cases
-                .iter()
-                .filter(|(c, _)| keep != Some(**c))
-                .min_by_key(|(_, l)| l.touched)
-                .map(|(c, _)| *c);
+            let victim = self.lru_victim(keep);
+            // The LRU order must pick exactly what a scan of the resident
+            // set for the oldest tick picks.
+            #[cfg(debug_assertions)]
+            {
+                let scanned = self
+                    .cases
+                    .iter()
+                    .filter(|(c, _)| keep != Some(**c))
+                    .min_by_key(|(_, l)| l.touched)
+                    .map(|(c, _)| *c);
+                assert_eq!(victim, scanned, "LRU order disagrees with the scan");
+            }
             let Some(victim) = victim else {
                 break;
             };
@@ -845,7 +911,7 @@ impl LiveAuditor {
             cases.push(live.record(case, process_of(live.process.purpose)?.key()));
         }
         for case in self.spill.cases() {
-            cases.push(decode_churn(&self.load_spilled(case)?).map_err(checkpoint_error)?);
+            cases.push(decode_churn_blob(self.load_spilled(case)?).map_err(checkpoint_error)?);
         }
         cases.sort_by_key(|c| c.case);
         // The state table: each distinct configuration of each process
@@ -952,7 +1018,7 @@ impl LiveAuditor {
             } else {
                 monitor
                     .spill
-                    .insert(c.case, &encode_churn(&c))
+                    .insert(c.case, encode_churn_blob(&c, &c.entries))
                     .map_err(|e| RestoreError::Codec(cows::SnapshotError::Io(e.to_string())))?;
             }
         }
@@ -1390,6 +1456,71 @@ mod tests {
     }
 
     #[test]
+    fn lru_order_stays_bounded_with_and_without_evictions() {
+        // 32 concurrent copies of HT-1, each fed its sixteen entries in
+        // order; a copy that has had all sixteen is followed by a fresh
+        // one, and completed copies retire every 1,000 entries. Half the
+        // entries go to six hot copies, so at cap 24 the hot ones stay
+        // resident and are touched again while cold ones evict, and stale
+        // entries pile up behind the oldest resident until the order
+        // compacts between evictions; at cap 1,024 nothing evicts and
+        // every resident case is touched over and over.
+        let ht1: Vec<LogEntry> = figure4_trail()
+            .project_case(sym("HT-1"))
+            .into_iter()
+            .cloned()
+            .collect();
+        for cap in [24, 1024] {
+            let config = LiveConfig {
+                max_open_cases: cap,
+                ..LiveConfig::default()
+            };
+            let mut monitor = LiveAuditor::with_config(auditor(), config);
+            let mut fed = [0usize; 32];
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            for i in 0..200_000usize {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let slot = if x & 1 == 0 {
+                    (x >> 1) % 6
+                } else {
+                    (x >> 1) % 32
+                } as usize;
+                let n = fed[slot];
+                fed[slot] += 1;
+                let entry = LogEntry {
+                    case: sym(&format!("HT-lru{slot}-{}", n / ht1.len())),
+                    ..ht1[n % ht1.len()].clone()
+                };
+                assert!(!monitor.observe(&entry).unwrap().is_alarm());
+                let resident = monitor.open_cases();
+                assert!(
+                    monitor.lru.len() <= 2 * resident + LRU_SLACK,
+                    "[cap {cap}] {} LRU entries for {resident} resident cases after entry {i}",
+                    monitor.lru.len(),
+                );
+                // Exactly one live entry per resident case, in tick order.
+                let cases = &monitor.cases;
+                let live: Vec<u64> = monitor
+                    .lru
+                    .iter()
+                    .filter(|(tick, c)| cases.get(c).is_some_and(|l| l.touched == *tick))
+                    .map(|(tick, _)| *tick)
+                    .collect();
+                assert_eq!(live.len(), resident, "[cap {cap}] after entry {i}");
+                assert!(live.windows(2).all(|w| w[0] < w[1]));
+                if i % 1000 == 999 {
+                    monitor.retire_completed();
+                }
+            }
+            let stats = monitor.stats();
+            assert_eq!(stats.evictions > 0, cap == 24, "[cap {cap}] {stats:?}");
+            assert!(stats.retired > 0, "[cap {cap}] {stats:?}");
+        }
+    }
+
+    #[test]
     fn memory_tier_serves_rehydrations_without_disk() {
         // No spill_dir: every spill lands in the memory tier, so every
         // rehydration must be a tier hit and the log must stay untouched.
@@ -1523,13 +1654,13 @@ mod tests {
             .process_for(clinical_trial_purpose())
             .unwrap()
             .key();
-        let mut record = decode_churn(&monitor.load_spilled(sym("HT-1")).unwrap()).unwrap();
+        let mut record = decode_churn_blob(monitor.load_spilled(sym("HT-1")).unwrap()).unwrap();
         assert_ne!(record.process_key, other);
         record.process_key = other;
         monitor.spill.remove(sym("HT-1")).unwrap();
         monitor
             .spill
-            .insert(sym("HT-1"), &encode_churn(&record))
+            .insert(sym("HT-1"), encode_churn_blob(&record, &record.entries))
             .unwrap();
         let keyed_wrong = |r: Result<(), CheckError>| match r {
             Err(CheckError::Checkpoint { detail }) => detail.contains("different"),

@@ -4,7 +4,8 @@
 //! batch audit parallelizes: a stable hash of the case name routes every
 //! entry of a case to the same [`LiveAuditor`], and shards never touch
 //! each other's state. [`ShardedMonitor::ingest`] drives all shards from
-//! one interleaved entry stream with scoped threads; per-shard metrics go
+//! one interleaved entry stream, one group of shards per core on scoped
+//! threads (the calling thread runs the first group); per-shard metrics go
 //! into worker-owned `obs` shards and are flushed once per
 //! [`ShardedMonitor::flush_metrics`] call, exactly as `audit_parallel`
 //! flushes once per worker at join.
@@ -17,6 +18,7 @@ use crate::replay::Infringement;
 use audit::entry::LogEntry;
 use cows::symbol::Symbol;
 use obs::Registry;
+use std::ops::Range;
 
 /// How many entries [`ShardedMonitor::ingest`] observes between automatic
 /// resident-budget rebalances.
@@ -97,34 +99,42 @@ impl ShardedMonitor {
 
     /// Drive all shards from one interleaved stream: entries are
     /// partitioned by case hash (preserving relative order, which is all
-    /// the per-case sessions need) and every shard consumes its partition
-    /// on its own scoped thread. Returns the events in input order.
+    /// the per-case sessions need) and every shard consumes its partition.
+    /// The shards run in one group per core (`shard_groups`), so a batch
+    /// spawns one scoped thread per core beyond the caller's, not one per
+    /// shard. Returns the events in input order.
     pub fn ingest(&mut self, entries: &[LogEntry]) -> Result<Vec<LiveEvent>, CheckError> {
         let n = self.shards.len();
         let mut batches: Vec<Vec<(usize, &LogEntry)>> = vec![Vec::new(); n];
         for (i, e) in entries.iter().enumerate() {
             batches[shard_of(e.case, n)].push((i, e));
         }
-        let mut results: Vec<Result<Vec<(usize, LiveEvent)>, CheckError>> = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(batches)
-                .map(|(shard, batch)| {
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity(batch.len());
-                        for (i, e) in batch {
-                            out.push((i, shard.observe(e)?));
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("shard worker panicked"));
-            }
-        });
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let groups = shard_groups(n, cores);
+        // Cut the shards and their batches into the groups' runs.
+        let mut shards = &mut self.shards[..];
+        let mut batches = batches.into_iter();
+        let mut work = Vec::with_capacity(groups.len());
+        for group in &groups {
+            let (run, rest) = shards.split_at_mut(group.len());
+            shards = rest;
+            work.push((run, batches.by_ref().take(group.len()).collect::<Vec<_>>()));
+        }
+        let mut work = work.into_iter();
+        let (caller_shards, caller_batches) = work.next().expect("at least one group");
+        // Every shard of a group runs to its own end or first error, as if
+        // it had a thread of its own; results come back in shard order.
+        let results: Vec<Result<Vec<(usize, LiveEvent)>, CheckError>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = work
+                    .map(|(run, batches)| scope.spawn(move || observe_group(run, batches)))
+                    .collect();
+                let mut results = observe_group(caller_shards, caller_batches);
+                for h in handles {
+                    results.extend(h.join().expect("shard worker panicked"));
+                }
+                results
+            });
         let mut events: Vec<(usize, LiveEvent)> = Vec::with_capacity(entries.len());
         for r in results {
             events.extend(r?);
@@ -370,6 +380,40 @@ impl ShardedMonitor {
     }
 }
 
+/// Split shards `0..shards` into at most `cores` runs of consecutive
+/// shards whose sizes differ by at most one; the first run, which the
+/// calling thread takes, is never empty.
+pub(crate) fn shard_groups(shards: usize, cores: usize) -> Vec<Range<usize>> {
+    let groups = cores.min(shards).max(1);
+    let (size, larger) = (shards / groups, shards % groups);
+    let mut start = 0;
+    (0..groups)
+        .map(|g| {
+            let len = size + usize::from(g < larger);
+            start += len;
+            start - len..start
+        })
+        .collect()
+}
+
+/// Observe each shard's batch on its shard, one shard after another.
+fn observe_group(
+    shards: &mut [LiveAuditor],
+    batches: Vec<Vec<(usize, &LogEntry)>>,
+) -> Vec<Result<Vec<(usize, LiveEvent)>, CheckError>> {
+    shards
+        .iter_mut()
+        .zip(batches)
+        .map(|(shard, batch)| {
+            let mut out = Vec::with_capacity(batch.len());
+            for (i, e) in batch {
+                out.push((i, shard.observe(e)?));
+            }
+            Ok(out)
+        })
+        .collect()
+}
+
 fn shard_config(config: &LiveConfig, i: usize) -> LiveConfig {
     LiveConfig {
         spill_dir: config
@@ -440,6 +484,81 @@ mod tests {
                 }
             }
             assert_eq!(sharded.stats().entries, trail.len() as u64);
+        }
+    }
+
+    #[test]
+    fn shard_groups_run_every_shard_once() {
+        for shards in 1..=8 {
+            for cores in 1..=4 {
+                let groups = shard_groups(shards, cores);
+                assert!(groups.len() <= cores, "{shards} shards, {cores} cores");
+                assert!(!groups[0].is_empty(), "the caller's group has work");
+                let order: Vec<usize> = groups.iter().flat_map(|g| g.clone()).collect();
+                assert_eq!(order, (0..shards).collect::<Vec<_>>());
+                let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
+                assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+            }
+        }
+    }
+
+    /// The per-shard loop `ingest` ran before shards were grouped: each
+    /// shard observes its partition in order, events come back in input
+    /// order, and the resident budget rebalances on the same schedule.
+    fn ingest_shard_by_shard(m: &mut ShardedMonitor, entries: &[LogEntry]) -> Vec<LiveEvent> {
+        let n = m.shards.len();
+        let mut events = Vec::new();
+        for (s, shard) in m.shards.iter_mut().enumerate() {
+            for (i, e) in entries.iter().enumerate() {
+                if shard_of(e.case, n) == s {
+                    events.push((i, shard.observe(e).unwrap()));
+                }
+            }
+        }
+        events.sort_by_key(|(i, _)| *i);
+        m.since_rebalance += entries.len() as u64;
+        if m.since_rebalance >= REBALANCE_EVERY {
+            m.since_rebalance = 0;
+            m.rebalance_caps().unwrap();
+        }
+        events.into_iter().map(|(_, e)| e).collect()
+    }
+
+    #[test]
+    fn grouped_ingest_equals_the_shard_by_shard_loop() {
+        // 150 interleaved copies of the Fig. 4 cases under a small
+        // cap: evictions, rehydrations, alarms and a rebalance all happen.
+        let trail = figure4_trail();
+        let stream: Vec<LogEntry> = trail
+            .entries()
+            .iter()
+            .flat_map(|e| {
+                (0..150).map(move |k| LogEntry {
+                    case: sym(&format!("{}~{k}", e.case)),
+                    ..e.clone()
+                })
+            })
+            .collect();
+        assert!(stream.len() > REBALANCE_EVERY as usize);
+        let config = LiveConfig {
+            max_open_cases: 6,
+            ..LiveConfig::default()
+        };
+        for n in [1, 2, 4, 8] {
+            let mut grouped = ShardedMonitor::new(auditor(), &config, n);
+            let mut reference = ShardedMonitor::new(auditor(), &config, n);
+            for batch in stream.chunks(500) {
+                let got = grouped.ingest(batch).unwrap();
+                let want = ingest_shard_by_shard(&mut reference, batch);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{n} shards");
+                assert_eq!(grouped.stats(), reference.stats(), "{n} shards");
+            }
+            let stats = grouped.stats();
+            assert!(
+                stats.evictions > 0 && stats.alarms > 0,
+                "{n} shards: {stats:?}"
+            );
+            assert_eq!(stats.cap_rebalances > 0, n > 1, "{n} shards");
         }
     }
 

@@ -34,11 +34,14 @@
 //! and the batch is requeued, so the in-memory index never references
 //! bytes that might not exist.
 //!
-//! Blobs are opaque bytes to the store; the monitor puts exactly one
-//! format in it, the run-local `PCLE` case record ([`crate::churn`]) —
-//! from eviction, and from monitor restore for cases it does not keep
-//! resident. The log is strictly run-scoped — created fresh, deleted on
-//! drop — and construction sweeps leftover logs and the legacy
+//! Blobs are opaque bytes to the store, handed over by value in a
+//! [`SpillBlob`] frame whose first byte the store's codec tag occupies, so
+//! a blob parked raw enters and leaves the memory tier without a copy.
+//! The monitor puts exactly one format in it, the run-local `PCLE` case
+//! record ([`crate::churn`]) — from eviction, and from monitor restore for
+//! cases it does not keep resident. The log is strictly run-scoped —
+//! created fresh, deleted on drop — and construction sweeps leftover logs
+//! and the legacy
 //! one-file-per-case `*.pclc` spill files that a previous run (or crash)
 //! left in the directory, counting a torn-tail truncation when a leftover
 //! log ends mid-record. (Cross-run
@@ -129,6 +132,43 @@ impl std::fmt::Display for SpillError {
 }
 
 impl std::error::Error for SpillError {}
+
+/// A payload framed for the store: one byte of headroom, then the payload.
+/// The store writes its codec tag into the headroom, so parking a blob raw
+/// moves the buffer instead of copying it, and [`SpillStore::take`] hands
+/// a raw-parked buffer back the same way.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SpillBlob(Vec<u8>);
+
+impl SpillBlob {
+    /// An empty frame with room for `payload` bytes.
+    pub(crate) fn with_capacity(payload: usize) -> SpillBlob {
+        let mut frame = Vec::with_capacity(payload + 1);
+        frame.push(TAG_RAW);
+        SpillBlob(frame)
+    }
+
+    /// A frame holding a copy of `payload`.
+    pub fn from_payload(payload: &[u8]) -> SpillBlob {
+        let mut blob = SpillBlob::with_capacity(payload.len());
+        blob.0.extend_from_slice(payload);
+        blob
+    }
+
+    /// The frame's buffer, for appending payload bytes after the headroom.
+    pub(crate) fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.0
+    }
+
+    pub fn payload(&self) -> &[u8] {
+        &self.0[1..]
+    }
+
+    /// The whole buffer and the offset its payload starts at.
+    pub(crate) fn into_parts(self) -> (Vec<u8>, usize) {
+        (self.0, 1)
+    }
+}
 
 /// The open spill log plus its in-memory read index.
 struct SpillLog {
@@ -322,23 +362,22 @@ impl SpillStore {
     /// Park a blob. Replaces any previous spill of the same case.
     ///
     /// Compression is pressure-gated: while the tier sits below half its
-    /// byte budget, blobs park raw (a tag byte and a memcpy — the common
-    /// churn regime, where the resident spill set is far smaller than the
-    /// budget, pays no codec at all). Once the tier passes the watermark,
-    /// new blobs compress on the way in and raw-parked ones compress on
-    /// their way out (see the overflow loop), so the budget is still
-    /// honored in actual bytes and the disk still receives compressed
-    /// records.
-    pub fn insert(&mut self, case: Symbol, payload: &[u8]) -> Result<(), SpillError> {
+    /// byte budget, blobs park raw (the tag byte goes into the frame's
+    /// headroom and the buffer moves in — the common churn regime, where
+    /// the resident spill set is far smaller than the budget, pays no
+    /// codec and no copy). Once the tier passes the watermark, new blobs
+    /// compress on the way in and raw-parked ones compress on their way
+    /// out (see the overflow loop), so the budget is still honored in
+    /// actual bytes and the disk still receives compressed records.
+    pub fn insert(&mut self, case: Symbol, blob: SpillBlob) -> Result<(), SpillError> {
         self.forget(case);
-        let pressured =
-            self.dir.is_some() && (self.mem_bytes + payload.len()).saturating_mul(2) > self.mem_cap;
+        let pressured = self.dir.is_some()
+            && (self.mem_bytes + blob.payload().len()).saturating_mul(2) > self.mem_cap;
         let blob = if pressured {
-            compress(payload)
+            compress(blob.payload())
         } else {
-            let mut raw = Vec::with_capacity(payload.len() + 1);
-            raw.push(TAG_RAW);
-            raw.extend_from_slice(payload);
+            let mut raw = blob.0;
+            raw[0] = TAG_RAW;
             raw
         };
         self.mem_bytes += blob.len();
@@ -387,17 +426,18 @@ impl SpillStore {
         Ok(())
     }
 
-    /// Take a blob out of the store (the rehydration read).
-    pub fn take(&mut self, case: Symbol) -> Result<Option<Vec<u8>>, SpillError> {
+    /// Take a blob out of the store (the rehydration read). A raw-parked
+    /// blob comes back as the very buffer that went in.
+    pub fn take(&mut self, case: Symbol) -> Result<Option<SpillBlob>, SpillError> {
         if let Some((_, blob)) = self.mem.remove(&case) {
             self.mem_bytes -= blob.len();
             self.stats.tier_hits += 1;
-            return decode(&blob).map(Some);
+            return decode(blob).map(Some);
         }
         if let Some(blob) = self.pending.remove(&case) {
             self.pending_bytes -= blob.len();
             self.stats.tier_hits += 1; // never reached disk
-            return decode(&blob).map(Some);
+            return decode(blob).map(Some);
         }
         let Some(log) = &mut self.log else {
             return Ok(None);
@@ -412,17 +452,17 @@ impl SpillStore {
             .read_at(offset, &mut blob)
             .map_err(SpillError::io("read spill log", &log.path))?;
         self.maybe_compact()?;
-        decode(&blob).map(Some)
+        decode(blob).map(Some)
     }
 
     /// Read a blob without removing it or touching the counters (used for
     /// read-only snapshots and whole-monitor checkpoints).
-    pub fn peek(&self, case: Symbol) -> Result<Option<Vec<u8>>, SpillError> {
+    pub fn peek(&self, case: Symbol) -> Result<Option<SpillBlob>, SpillError> {
         if let Some((_, blob)) = self.mem.get(&case) {
-            return decode(blob).map(Some);
+            return decode(blob.clone()).map(Some);
         }
         if let Some(blob) = self.pending.get(&case) {
-            return decode(blob).map(Some);
+            return decode(blob.clone()).map(Some);
         }
         let Some(log) = &self.log else {
             return Ok(None);
@@ -438,7 +478,7 @@ impl SpillStore {
         file.seek(SeekFrom::Start(offset))
             .and_then(|_| file.read_exact(&mut blob))
             .map_err(SpillError::io("read spill log", &log.path))?;
-        decode(&blob).map(Some)
+        decode(blob).map(Some)
     }
 
     /// Drop a case from every tier (retirement cleanup). Compacts the log
@@ -605,9 +645,18 @@ impl SpillLog {
     }
 }
 
-/// Decode a stored blob, lifting codec failures into [`SpillError`].
-fn decode(blob: &[u8]) -> Result<Vec<u8>, SpillError> {
-    decompress(blob).map_err(|detail| SpillError::Codec { detail })
+/// Decode a stored blob into a frame, lifting codec failures into
+/// [`SpillError`]. A raw blob already is its frame: its tag byte becomes
+/// the headroom.
+fn decode(blob: Vec<u8>) -> Result<SpillBlob, SpillError> {
+    match blob.first() {
+        Some(&TAG_RAW) => Ok(SpillBlob(blob)),
+        _ => {
+            let mut frame = vec![TAG_RAW];
+            decompress_into(&blob, &mut frame).map_err(|detail| SpillError::Codec { detail })?;
+            Ok(SpillBlob(frame))
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -691,18 +740,32 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
 /// Invert [`compress`].
 pub fn decompress(blob: &[u8]) -> Result<Vec<u8>, String> {
+    let mut out = Vec::new();
+    decompress_into(blob, &mut out)?;
+    Ok(out)
+}
+
+/// [`decompress`], appending the payload to `out`.
+fn decompress_into(blob: &[u8], out: &mut Vec<u8>) -> Result<(), String> {
     match blob.split_first() {
-        Some((&TAG_RAW, rest)) => Ok(rest.to_vec()),
+        Some((&TAG_RAW, rest)) => {
+            out.extend_from_slice(rest);
+            Ok(())
+        }
         Some((&TAG_LZ, rest)) => {
             if rest.len() < 4 {
                 return Err("compressed blob truncated before length".into());
             }
             let expect = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-            let mut out = Vec::with_capacity(expect);
+            let base = out.len();
+            // The claimed length is untrusted: every output byte costs at
+            // least one input bit, so reserve no more than the input could
+            // expand to.
+            out.reserve(expect.min(rest.len().saturating_mul(MAX_MATCH)));
             let mut pos = 4usize;
             let mut flags = 0u8;
             let mut flag_count = 8u8;
-            while out.len() < expect {
+            while out.len() - base < expect {
                 if flag_count == 8 {
                     flags = *rest.get(pos).ok_or("compressed blob truncated at flags")?;
                     pos += 1;
@@ -724,7 +787,7 @@ pub fn decompress(blob: &[u8]) -> Result<Vec<u8>, String> {
                     let token = u16::from_le_bytes([lo, hi]);
                     let distance = (token >> 4) as usize + 1;
                     let length = (token & 0xf) as usize + MIN_MATCH;
-                    if distance > out.len() {
+                    if distance > out.len() - base {
                         return Err("match distance before start of output".into());
                     }
                     let start = out.len() - distance;
@@ -737,10 +800,10 @@ pub fn decompress(blob: &[u8]) -> Result<Vec<u8>, String> {
                 }
                 flag_count += 1;
             }
-            if out.len() != expect {
+            if out.len() - base != expect {
                 return Err("decompressed length mismatch".into());
             }
-            Ok(out)
+            Ok(())
         }
         _ => Err("empty or untagged compressed blob".into()),
     }
@@ -751,6 +814,10 @@ mod tests {
     use super::*;
     use crate::durable::fault;
     use cows::sym;
+
+    fn blob(payload: &[u8]) -> SpillBlob {
+        SpillBlob::from_payload(payload)
+    }
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -793,15 +860,60 @@ mod tests {
     fn memory_only_store_round_trips() {
         let mut store = SpillStore::new(None, 0, SyncPolicy::Never);
         let payload = b"hello spill".to_vec();
-        store.insert(sym("S-1"), &payload).unwrap();
+        store.insert(sym("S-1"), blob(&payload)).unwrap();
         assert!(store.contains(sym("S-1")));
         assert_eq!(store.len(), 1);
-        assert_eq!(store.peek(sym("S-1")).unwrap().unwrap(), payload);
-        assert_eq!(store.take(sym("S-1")).unwrap().unwrap(), payload);
+        assert_eq!(store.peek(sym("S-1")).unwrap().unwrap().payload(), payload);
+        assert_eq!(store.take(sym("S-1")).unwrap().unwrap().payload(), payload);
         assert_eq!(store.stats().tier_hits, 1);
         assert_eq!(store.stats().disk_demotions, 0);
         assert!(store.is_empty());
         assert!(store.take(sym("S-1")).unwrap().is_none());
+    }
+
+    #[test]
+    fn raw_parked_blob_moves_in_and_out_without_a_copy() {
+        let mut store = SpillStore::new(None, 0, SyncPolicy::Never);
+        let parked = blob(b"a raw-parked payload");
+        let at = parked.payload().as_ptr();
+        store.insert(sym("Z-1"), parked).unwrap();
+        let back = store.take(sym("Z-1")).unwrap().unwrap();
+        assert_eq!(back.payload(), b"a raw-parked payload");
+        assert_eq!(back.payload().as_ptr(), at, "the same buffer came back");
+    }
+
+    #[test]
+    fn damaged_compressed_blobs_fail_typed_on_the_by_value_path() {
+        let payload: Vec<u8> = b"PCLE[Jane]EPR/Clinical T06 HT-99 201007060900 "
+            .iter()
+            .cycle()
+            .take(600)
+            .copied()
+            .collect();
+        let packed = compress(&payload);
+        assert_eq!(packed[0], TAG_LZ);
+        assert_eq!(decode(packed.clone()).unwrap().payload(), payload);
+        for len in 0..packed.len() {
+            assert!(
+                matches!(
+                    decode(packed[..len].to_vec()),
+                    Err(SpillError::Codec { .. })
+                ),
+                "truncation at {len}"
+            );
+        }
+        // A flip either still decodes or is a typed codec error; it never
+        // panics, and never reserves more than the blob could expand to.
+        for at in 0..packed.len() {
+            for flip in [0x01u8, 0x80, 0xff] {
+                let mut bad = packed.clone();
+                bad[at] ^= flip;
+                match decode(bad) {
+                    Ok(_) | Err(SpillError::Codec { .. }) => {}
+                    Err(e) => panic!("untyped failure at {at}: {e}"),
+                }
+            }
+        }
     }
 
     /// Hash-mixed (incompressible) payloads so tests really reach disk.
@@ -826,15 +938,15 @@ mod tests {
             .map(|i| (sym(&format!("D-{i}")), mixed_payload(i, 700)))
             .collect();
         for (case, payload) in &payloads {
-            store.insert(*case, payload).unwrap();
+            store.insert(*case, blob(payload)).unwrap();
         }
         assert!(store.stats().disk_demotions > 0, "log must be reached");
         assert!(store.stats().log_bytes > 0);
         assert!(dir.join("spill.log").exists());
         // Every blob still reads back, from whichever tier holds it.
         for (case, payload) in &payloads {
-            assert_eq!(store.peek(*case).unwrap().as_ref(), Some(payload));
-            assert_eq!(store.take(*case).unwrap().as_ref(), Some(payload));
+            assert_eq!(store.peek(*case).unwrap().unwrap().payload(), payload);
+            assert_eq!(store.take(*case).unwrap().unwrap().payload(), payload);
         }
         assert!(store.is_empty());
         drop(store);
@@ -848,7 +960,7 @@ mod tests {
         let mut store = SpillStore::new(Some(dir.clone()), 0, SyncPolicy::Always);
         for i in 0..5u32 {
             store
-                .insert(sym(&format!("F-{i}")), &mixed_payload(i, 600))
+                .insert(sym(&format!("F-{i}")), blob(&mixed_payload(i, 600)))
                 .unwrap();
         }
         assert!(store.stats().disk_demotions >= 5);
@@ -861,7 +973,7 @@ mod tests {
 
         let mut lazy = SpillStore::new(Some(dir.clone()), 0, SyncPolicy::Never);
         for i in 0..5u32 {
-            lazy.insert(sym(&format!("F-{i}")), &mixed_payload(i, 600))
+            lazy.insert(sym(&format!("F-{i}")), blob(&mixed_payload(i, 600)))
                 .unwrap();
         }
         assert_eq!(lazy.stats().fsyncs, 0, "never means never");
@@ -882,15 +994,18 @@ mod tests {
 
         // Headroom: a roomy budget parks the blob raw (tag + payload).
         let mut roomy = SpillStore::new(Some(dir.clone()), 1024 * 1024, SyncPolicy::Never);
-        roomy.insert(sym("P-raw"), &payload).unwrap();
+        roomy.insert(sym("P-raw"), blob(&payload)).unwrap();
         assert_eq!(roomy.mem_bytes, payload.len() + 1, "parked raw");
-        assert_eq!(roomy.take(sym("P-raw")).unwrap().unwrap(), payload);
+        assert_eq!(
+            roomy.take(sym("P-raw")).unwrap().unwrap().payload(),
+            payload
+        );
         drop(roomy);
 
         // Pressure: a budget under 2x the payload compresses on insert,
         // and the compressible blob stays resident — no disk involved.
         let mut tight = SpillStore::new(Some(dir.clone()), 3000, SyncPolicy::Never);
-        tight.insert(sym("P-lz"), &payload).unwrap();
+        tight.insert(sym("P-lz"), blob(&payload)).unwrap();
         assert!(
             tight.mem_bytes * 2 < payload.len(),
             "compressed in place ({} B of {} B)",
@@ -898,7 +1013,7 @@ mod tests {
             payload.len()
         );
         assert_eq!(tight.stats().disk_demotions, 0);
-        assert_eq!(tight.take(sym("P-lz")).unwrap().unwrap(), payload);
+        assert_eq!(tight.take(sym("P-lz")).unwrap().unwrap().payload(), payload);
         drop(tight);
 
         // Overflow: a raw-parked blob repacks on its way out of a filling
@@ -906,17 +1021,22 @@ mod tests {
         // resident instead of demoting. P-0 parks raw under the watermark,
         // the Q-i compress past the cap, and the overflow squeezes P-0.
         let mut filling = SpillStore::new(Some(dir.clone()), 6000, SyncPolicy::Never);
-        filling.insert(sym("P-0"), &payload).unwrap();
+        filling.insert(sym("P-0"), blob(&payload)).unwrap();
         assert_eq!(filling.mem_bytes, payload.len() + 1, "parked raw");
         for i in 0..20 {
-            filling.insert(sym(&format!("Q-{i}")), &payload).unwrap();
+            filling
+                .insert(sym(&format!("Q-{i}")), blob(&payload))
+                .unwrap();
         }
         assert!(filling.mem_bytes <= 6000, "budget honored");
         assert_eq!(filling.stats().disk_demotions, 0, "repack avoided disk");
-        assert_eq!(filling.take(sym("P-0")).unwrap().unwrap(), payload);
+        assert_eq!(
+            filling.take(sym("P-0")).unwrap().unwrap().payload(),
+            payload
+        );
         for i in 0..20 {
             let got = filling.take(sym(&format!("Q-{i}"))).unwrap().unwrap();
-            assert_eq!(got, payload);
+            assert_eq!(got.payload(), payload);
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -929,7 +1049,9 @@ mod tests {
             .map(|j| j.wrapping_mul(2654435761) as u8)
             .collect();
         for i in 0..200 {
-            store.insert(sym(&format!("C-{i}")), &payload).unwrap();
+            store
+                .insert(sym(&format!("C-{i}")), blob(&payload))
+                .unwrap();
         }
         // Force everything pending onto disk by crossing the flush line.
         assert!(store.stats().disk_demotions > 0);
@@ -943,7 +1065,7 @@ mod tests {
         for i in 190..200 {
             let case = sym(&format!("C-{i}"));
             if store.contains(case) {
-                assert_eq!(store.take(case).unwrap().unwrap(), payload);
+                assert_eq!(store.take(case).unwrap().unwrap().payload(), payload);
             }
         }
         let _ = fs::remove_dir_all(&dir);
@@ -976,14 +1098,21 @@ mod tests {
         let a: Vec<u8> = (0..3000u32).map(|j| (j * 31) as u8).collect();
         let b: Vec<u8> = (0..3000u32).map(|j| (j * 37) as u8).collect();
         for i in 0..120 {
-            store.insert(sym(&format!("R-{i}")), &a).unwrap();
+            store.insert(sym(&format!("R-{i}")), blob(&a)).unwrap();
         }
         for i in 0..120 {
-            store.insert(sym(&format!("R-{i}")), &b).unwrap();
+            store.insert(sym(&format!("R-{i}")), blob(&b)).unwrap();
         }
         assert_eq!(store.len(), 120, "replacement must not double-count");
         for i in 0..120 {
-            assert_eq!(store.take(sym(&format!("R-{i}"))).unwrap().unwrap(), b);
+            assert_eq!(
+                store
+                    .take(sym(&format!("R-{i}")))
+                    .unwrap()
+                    .unwrap()
+                    .payload(),
+                b
+            );
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -996,7 +1125,7 @@ mod tests {
             .map(|i| (sym(&format!("V-{i}")), mixed_payload(i, 900)))
             .collect();
         for (case, payload) in &payloads {
-            store.insert(*case, payload).unwrap();
+            store.insert(*case, blob(payload)).unwrap();
         }
         let log_path = dir.join("spill.log");
         let pristine = fs::read(&log_path).unwrap();
@@ -1030,13 +1159,13 @@ mod tests {
         let dir = scratch("fault-append");
         let mut store = SpillStore::new(Some(dir.clone()), 0, SyncPolicy::Never);
         let first = mixed_payload(1, 800);
-        store.insert(sym("A-1"), &first).unwrap();
+        store.insert(sym("A-1"), blob(&first)).unwrap();
         let tail = fs::metadata(dir.join("spill.log")).unwrap().len();
 
         // The next durable write under this directory tears halfway.
         fault::arm(fault::FaultPlan::new(&dir, fault::FaultKind::ShortWrite, 1));
         let second = mixed_payload(2, 800);
-        let err = store.insert(sym("A-2"), &second).unwrap_err();
+        let err = store.insert(sym("A-2"), blob(&second)).unwrap_err();
         assert!(!err.is_no_space());
         fault::disarm(&dir);
 
@@ -1048,8 +1177,8 @@ mod tests {
         assert!(store.stats().injected_faults >= 1);
         let scan = recover_log(&dir.join("spill.log")).unwrap();
         assert_eq!(scan.dropped_bytes, 0);
-        assert_eq!(store.take(sym("A-2")).unwrap().unwrap(), second);
-        assert_eq!(store.take(sym("A-1")).unwrap().unwrap(), first);
+        assert_eq!(store.take(sym("A-2")).unwrap().unwrap().payload(), second);
+        assert_eq!(store.take(sym("A-1")).unwrap().unwrap().payload(), first);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1057,17 +1186,21 @@ mod tests {
     fn enospc_append_is_typed_and_recoverable() {
         let dir = scratch("fault-enospc");
         let mut store = SpillStore::new(Some(dir.clone()), 0, SyncPolicy::Never);
-        store.insert(sym("E-1"), &mixed_payload(1, 700)).unwrap();
+        store
+            .insert(sym("E-1"), blob(&mixed_payload(1, 700)))
+            .unwrap();
         fault::arm(fault::FaultPlan::new(&dir, fault::FaultKind::Enospc, 1));
         let payload = mixed_payload(2, 700);
-        let err = store.insert(sym("E-2"), &payload).unwrap_err();
+        let err = store.insert(sym("E-2"), blob(&payload)).unwrap_err();
         assert!(err.is_no_space(), "{err}");
         // The blob is parked in the pending buffer: readable now, flushed
         // once the disk comes back.
-        assert_eq!(store.peek(sym("E-2")).unwrap().unwrap(), payload);
+        assert_eq!(store.peek(sym("E-2")).unwrap().unwrap().payload(), payload);
         fault::disarm(&dir);
-        store.insert(sym("E-3"), &mixed_payload(3, 700)).unwrap();
-        assert_eq!(store.take(sym("E-2")).unwrap().unwrap(), payload);
+        store
+            .insert(sym("E-3"), blob(&mixed_payload(3, 700)))
+            .unwrap();
+        assert_eq!(store.take(sym("E-2")).unwrap().unwrap().payload(), payload);
         let _ = fs::remove_dir_all(&dir);
     }
 }

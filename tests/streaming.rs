@@ -12,6 +12,7 @@
 
 use audit::entry::LogEntry;
 use audit::samples::figure4_trail;
+use audit::time::Timestamp;
 use audit::trail::AuditTrail;
 use bpmn::models::{clinical_trial, healthcare_treatment};
 use cows::symbol::Symbol;
@@ -23,7 +24,7 @@ use purpose_control::replay::Verdict;
 use purpose_control::{shard_of, LiveAuditor, LiveConfig, LiveEvent, ShardedMonitor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use workload::hospital::{generate_day, HospitalConfig};
 
 const SEEDS: [u64; 4] = [7, 42, 1337, 2026];
@@ -218,17 +219,36 @@ fn churn_path_configurations_are_verdict_invisible() {
 /// returns: a case missing from the resident list is rehydrated if it was
 /// spilled and admitted either way, evicting from the front of the list
 /// while over the cap; it is then touched (moved to the back). An alarm
-/// retires the case from both sets.
+/// retires the case from both sets. The model also follows the other
+/// routes out of the resident set: retirement of completed cases, the
+/// idle sweep, a cap cut to size, and a checkpoint restored mid-stream.
 struct LruModel {
     cap: usize,
     recency: VecDeque<Symbol>,
     spilled: HashSet<Symbol>,
+    /// Latest entry time of every open case, resident or spilled.
+    last_seen: HashMap<Symbol, Timestamp>,
+    /// Latest entry time the monitor has seen (its idle-sweep reference).
+    high_water: Option<Timestamp>,
     evictions: u64,
     rehydrations: u64,
 }
 
 impl LruModel {
-    fn step(&mut self, event: &LiveEvent) {
+    fn new(cap: usize) -> LruModel {
+        LruModel {
+            cap,
+            recency: VecDeque::new(),
+            spilled: HashSet::new(),
+            last_seen: HashMap::new(),
+            high_water: None,
+            evictions: 0,
+            rehydrations: 0,
+        }
+    }
+
+    fn step(&mut self, time: Timestamp, event: &LiveEvent) {
+        self.high_water = Some(self.high_water.map_or(time, |h| h.max(time)));
         let case = match event {
             LiveEvent::Unresolved { .. } | LiveEvent::AfterAlarm { .. } => return,
             LiveEvent::Accepted { case } | LiveEvent::Alarm { case, .. } => *case,
@@ -239,23 +259,84 @@ impl LruModel {
             if self.spilled.remove(&case) {
                 self.rehydrations += 1;
             }
-            while self.recency.len() >= self.cap {
-                let victim = self.recency.pop_front().expect("cap is at least 1");
-                self.spilled.insert(victim);
-                self.evictions += 1;
-            }
+            self.evict_down_to(self.cap.saturating_sub(1));
         }
-        if !event.is_alarm() {
+        if event.is_alarm() {
+            self.last_seen.remove(&case);
+        } else {
             self.recency.push_back(case);
+            let seen = self.last_seen.entry(case).or_insert(time);
+            *seen = (*seen).max(time);
         }
+    }
+
+    fn evict_down_to(&mut self, cap: usize) {
+        while self.recency.len() > cap {
+            let victim = self.recency.pop_front().expect("over a cap");
+            self.spilled.insert(victim);
+            self.evictions += 1;
+        }
+    }
+
+    /// Completed cases the monitor retired: they leave the resident set.
+    fn retire(&mut self, retired: &[Symbol]) {
+        for case in retired {
+            let i = self.recency.iter().position(|c| c == case);
+            self.recency.remove(i.expect("only resident cases retire"));
+            self.last_seen.remove(case);
+        }
+    }
+
+    /// The idle sweep: resident cases idle longer than `idle` spill.
+    fn maintain(&mut self, idle: u64) -> Vec<Symbol> {
+        let Some(high) = self.high_water else {
+            return Vec::new();
+        };
+        let mut idle_cases: Vec<Symbol> = self
+            .recency
+            .iter()
+            .copied()
+            .filter(|c| high.0.saturating_sub(self.last_seen[c].0) > idle)
+            .collect();
+        idle_cases.sort();
+        self.recency.retain(|c| !idle_cases.contains(c));
+        self.spilled.extend(idle_cases.iter().copied());
+        self.evictions += idle_cases.len() as u64;
+        idle_cases
+    }
+
+    /// What the rebalancer does: move the cap, then shrink to it.
+    fn shrink(&mut self, cap: usize) {
+        self.cap = cap;
+        self.evict_down_to(cap);
+    }
+
+    /// A restore at `cap`: the most recently seen open cases are admitted
+    /// in case order, the rest spill, and the counters start over.
+    fn restore(&mut self, cap: usize) {
+        let mut open: Vec<Symbol> = self.last_seen.keys().copied().collect();
+        open.sort();
+        open.sort_by_key(|c| std::cmp::Reverse(self.last_seen[c]));
+        self.spilled = open.split_off(cap.min(open.len())).into_iter().collect();
+        open.sort();
+        self.recency = open.into();
+        self.high_water = self.last_seen.values().copied().max();
+        self.cap = cap;
+        self.evictions = 0;
+        self.rehydrations = 0;
     }
 }
 
 /// Capacity eviction is plain LRU: after every entry of every arrival
 /// order, the monitor's eviction and rehydration counts and its resident
-/// and spilled sets match the reference model's.
+/// and spilled sets match the reference model's — both on a plain stream
+/// and with cases leaving the resident set by every other route in
+/// between: completed-case retirement, the idle sweep, a cap moved and
+/// shrunk to as the sharded rebalancer does, and a checkpoint restored
+/// into a fresh monitor halfway through.
 #[test]
 fn capacity_eviction_follows_the_lru_reference_model() {
+    const IDLE: u64 = 10_000;
     let trail = figure4_trail();
     let mut orders: Vec<(String, Vec<LogEntry>)> =
         vec![("logged order".into(), trail.entries().to_vec())];
@@ -263,43 +344,75 @@ fn capacity_eviction_follows_the_lru_reference_model() {
         orders.push((format!("chaos seed {seed}"), chaos_interleave(&trail, seed)));
     }
     let mut evictions = 0;
+    let (mut retired, mut swept, mut shrunk) = (0, 0, 0);
     for cap in 1..=4 {
         for (context, order) in &orders {
-            let config = LiveConfig {
-                max_open_cases: cap,
-                ..LiveConfig::default()
-            };
-            let mut monitor = LiveAuditor::with_config(hospital_auditor(), config);
-            let mut model = LruModel {
-                cap,
-                recency: VecDeque::new(),
-                spilled: HashSet::new(),
-                evictions: 0,
-                rehydrations: 0,
-            };
-            for (i, e) in order.iter().enumerate() {
-                model.step(&monitor.observe(e).unwrap());
-                let stats = monitor.stats();
-                assert_eq!(
-                    (
-                        stats.evictions,
-                        stats.rehydrations,
-                        monitor.open_cases(),
-                        monitor.spilled_cases()
-                    ),
-                    (
-                        model.evictions,
-                        model.rehydrations,
-                        model.recency.len(),
-                        model.spilled.len()
-                    ),
-                    "[cap {cap}, {context}] diverged at entry {i}: {e}"
-                );
+            for other_routes in [false, true] {
+                let config = LiveConfig {
+                    max_open_cases: cap,
+                    idle_eviction: Some(IDLE),
+                    ..LiveConfig::default()
+                };
+                let mut monitor = LiveAuditor::with_config(hospital_auditor(), config.clone());
+                let mut model = LruModel::new(cap);
+                for (i, e) in order.iter().enumerate() {
+                    model.step(e.time, &monitor.observe(e).unwrap());
+                    if other_routes {
+                        if i % 5 == 4 {
+                            let (done, errors) = monitor.retire_completed();
+                            assert!(errors.is_empty());
+                            model.retire(&done);
+                            retired += done.len();
+                        }
+                        if i % 7 == 6 {
+                            let idle = monitor.maintain().unwrap();
+                            assert_eq!(idle, model.maintain(IDLE), "[cap {cap}, {context}]");
+                            swept += idle.len();
+                        }
+                        if i % 11 == 10 {
+                            let to = 1 + (i / 11) % (cap + 1);
+                            let before = monitor.stats().evictions;
+                            monitor.set_resident_cap(to);
+                            monitor.shrink_to_cap().unwrap();
+                            model.shrink(to);
+                            shrunk += monitor.stats().evictions - before;
+                        }
+                        if i == order.len() / 2 {
+                            let bytes = monitor.checkpoint(i as u64).unwrap();
+                            monitor =
+                                LiveAuditor::restore(hospital_auditor(), config.clone(), &bytes)
+                                    .unwrap()
+                                    .0;
+                            model.restore(cap);
+                        }
+                    }
+                    let stats = monitor.stats();
+                    assert_eq!(
+                        (
+                            stats.evictions,
+                            stats.rehydrations,
+                            monitor.open_cases(),
+                            monitor.spilled_cases()
+                        ),
+                        (
+                            model.evictions,
+                            model.rehydrations,
+                            model.recency.len(),
+                            model.spilled.len()
+                        ),
+                        "[cap {cap}, {context}, other routes {other_routes}] \
+                         diverged at entry {i}: {e}"
+                    );
+                }
+                evictions += model.evictions;
             }
-            evictions += model.evictions;
         }
     }
     assert!(evictions > 0, "the caps must force evictions");
+    assert!(
+        retired > 0 && swept > 0 && shrunk > 0,
+        "every other route must fire: {retired} retired, {swept} swept, {shrunk} shrunk"
+    );
 }
 
 /// Checkpoint in the middle of a chaos replay — with the spill log
