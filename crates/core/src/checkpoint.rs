@@ -544,7 +544,7 @@ mod tests {
                 explored: 17,
                 consumed: 5,
                 first_time: Some(Timestamp(201007060900)),
-                case_name: Some("HT-7".to_string()),
+                case_name: Some(cows::sym("HT-7")),
             },
             entries: EntryBlock::from_entries(&[entry("T06", "HT-7", 201007060900)]),
             entries_dropped: 2,

@@ -100,17 +100,13 @@ fn run_local(s: Symbol) -> u64 {
     u64::from(s.index())
 }
 
-/// Resolve a run-local symbol number against a caller-held
-/// [`Symbol::interned_len`] snapshot — one interner-lock acquisition per
-/// blob instead of one per symbol, which is what keeps rehydration off the
-/// interner lock under churn.
-fn run_local_lookup(known: u32) -> impl Fn(u64) -> Result<Symbol, SnapshotError> {
-    move |idx| {
-        u32::try_from(idx)
-            .ok()
-            .and_then(|i| Symbol::from_index_below(i, known))
-            .ok_or(SnapshotError::Malformed("symbol index unknown to this run"))
-    }
+/// Resolve a run-local symbol number (an interner index; the check takes
+/// no lock).
+fn run_local_symbol(idx: u64) -> Result<Symbol, SnapshotError> {
+    u32::try_from(idx)
+        .ok()
+        .and_then(Symbol::try_from_index)
+        .ok_or(SnapshotError::Malformed("symbol index unknown to this run"))
 }
 
 fn get_sym(
@@ -358,7 +354,7 @@ impl EntryBlock {
     /// Materialize the window (alarm severity). Every entry is re-attached
     /// to `case`, exactly like record decode.
     pub fn decode(&self, case: Symbol) -> Result<Vec<LogEntry>, SnapshotError> {
-        self.decode_in(case, &run_local_lookup(Symbol::interned_len()))
+        self.decode_in(case, &run_local_symbol)
     }
 
     fn decode_in(
@@ -399,7 +395,7 @@ impl EntryBlock {
         case: Symbol,
         to: impl FnMut(Symbol) -> u64,
     ) -> Result<EntryBlock, SnapshotError> {
-        self.recode(case, run_local_lookup(Symbol::interned_len()), to)
+        self.recode(case, run_local_symbol, to)
     }
 
     /// Renumber a durable window back into this run's interner.
@@ -479,8 +475,9 @@ fn write_record(
     }
     match &c.meta.case_name {
         None => out.push(NAME_NONE),
-        Some(name) if name == c.case.as_str() => out.push(NAME_IS_CASE),
+        Some(name) if *name == c.case => out.push(NAME_IS_CASE),
         Some(name) => {
+            let name = name.as_str();
             out.push(NAME_INLINE);
             put_varint(out, name.len() as u64);
             out.extend_from_slice(name.as_bytes());
@@ -503,7 +500,7 @@ fn write_record(
 /// durable envelopes (a defensive property, not a compatibility one — a
 /// malformed blob here would mean monitor-internal corruption).
 pub fn decode_churn(bytes: &[u8]) -> Result<ChurnCheckpoint, SnapshotError> {
-    decode_record(bytes, run_local_lookup(Symbol::interned_len()))
+    decode_record(bytes, run_local_symbol)
 }
 
 /// Decode a run-local record out of a spill frame (rehydration), with
@@ -512,8 +509,7 @@ pub fn decode_churn(bytes: &[u8]) -> Result<ChurnCheckpoint, SnapshotError> {
 /// block's dead prefix, and the id list after it is truncated off.
 pub(crate) fn decode_churn_blob(blob: SpillBlob) -> Result<ChurnCheckpoint, SnapshotError> {
     let (mut bytes, at) = blob.into_parts();
-    let (mut c, count, window) =
-        decode_fields(&bytes, at, run_local_lookup(Symbol::interned_len()))?;
+    let (mut c, count, window) = decode_fields(&bytes, at, run_local_symbol)?;
     bytes.truncate(window.end);
     c.entries = EntryBlock::adopt(count, window.start, bytes);
     Ok(c)
@@ -575,7 +571,7 @@ fn decode_fields(
         }
         Some(NAME_IS_CASE) => {
             pos += 1;
-            Some(case.to_string())
+            Some(case)
         }
         Some(NAME_INLINE) => {
             pos += 1;
@@ -584,11 +580,9 @@ fn decode_fields(
                 .get(pos..pos.saturating_add(len))
                 .ok_or(SnapshotError::Truncated)?;
             pos += len;
-            Some(
-                std::str::from_utf8(raw)
-                    .map_err(|_| SnapshotError::Malformed("case name is not utf-8"))?
-                    .to_string(),
-            )
+            Some(Symbol::new(std::str::from_utf8(raw).map_err(|_| {
+                SnapshotError::Malformed("case name is not utf-8")
+            })?))
         }
         Some(_) => return Err(SnapshotError::Malformed("bad case-name flag")),
         None => return Err(SnapshotError::Truncated),
@@ -672,7 +666,7 @@ mod tests {
                 explored: 41,
                 consumed: 5,
                 first_time: Some(Timestamp(201007060900)),
-                case_name: Some("HT-7".to_string()),
+                case_name: Some(sym("HT-7")),
             },
             entries: EntryBlock::from_entries(&[entry, failed]),
             entries_dropped: 2,

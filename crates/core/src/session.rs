@@ -28,6 +28,7 @@ use bpmn::encode::Encoded;
 use cows::automaton::frontier::{DenseBitSet, FrontierId};
 use cows::automaton::{ProcessAutomaton, StateId};
 use cows::observe::Observation;
+use cows::symbol::Symbol;
 use cows::weaknext::{
     can_terminate_silently, weak_next_traced, Marked, WeakNextLimits, WeakSuccessor,
 };
@@ -127,12 +128,10 @@ pub(crate) fn compiled_step(
         next: Vec::new(),
         explored: 0,
     };
-    // Grown on demand: sizing it by `auto.len()` would take the
-    // automaton's table lock on every step.
     let mut seen = DenseBitSet::default();
     for &id in ids {
         let task_running = auto
-            .state(id)
+            .marked(id)
             .running
             .iter()
             .any(|&(r, q)| q == entry.task && role_matches(r));
@@ -148,7 +147,7 @@ pub(crate) fn compiled_step(
 
         // Lines 9–13: consume a compiled observable edge.
         let edges = auto.cached_edges(id).expect(PRE_EXPANDED);
-        for &(observation, succ_id) in edges.iter() {
+        for &(observation, succ_id) in edges {
             let accept = match (observation, entry.status) {
                 (Observation::Task { role, task }, TaskStatus::Success) => {
                     task == entry.task && role_matches(role)
@@ -188,8 +187,9 @@ pub struct SessionMeta {
     pub consumed: usize,
     /// Timestamp of the first fed entry (temporal-constraint anchor).
     pub first_time: Option<Timestamp>,
-    /// Case label adopted from the first fed entry.
-    pub case_name: Option<String>,
+    /// Case label adopted from the first fed entry; rendered only when
+    /// evidence is.
+    pub case_name: Option<Symbol>,
 }
 
 /// The configuration set of one evidence step, in capture form.
@@ -306,7 +306,7 @@ impl RawEvidence {
         let mut tokens: Vec<String> = Vec::new();
         let mut frontier = 0usize;
         for &id in ids {
-            let state = auto.state(id);
+            let state = auto.marked(id);
             active.extend(state.running.iter().map(|(r, q)| format!("{r}.{q}")));
             tokens.extend(
                 auto.token_tasks(id, &encoded.observability)
@@ -341,7 +341,7 @@ pub struct SessionCore {
     /// constructors pay one branch per would-be event).
     recorder: Recorder,
     /// Case name adopted from the first fed entry, for evidence labeling.
-    case_name: Option<String>,
+    case_name: Option<Symbol>,
     /// Per-entry evidence in capture form, accumulated when
     /// `opts.record_evidence` is set.
     evidence_steps: Vec<RawStep>,
@@ -450,14 +450,14 @@ impl SessionCore {
             ConfSet::Compiled { auto, ids, .. } => ids
                 .iter()
                 .map(|&id| Configuration {
-                    state: (*auto.state(id)).clone(),
+                    state: auto.marked(id).clone(),
                     next: auto
                         .cached_edges(id)
                         .expect(PRE_EXPANDED)
                         .iter()
                         .map(|&(observation, sid)| WeakSuccessor {
                             observation,
-                            state: (*auto.state(sid)).clone(),
+                            state: auto.marked(sid).clone(),
                         })
                         .collect(),
                 })
@@ -509,7 +509,7 @@ impl SessionCore {
             }
             ConfSet::Compiled { auto, ids, .. } => {
                 for &id in ids.iter() {
-                    let state = auto.state(id);
+                    let state = auto.marked(id);
                     v.extend(state.running.iter().map(|(r, q)| format!("{r}.{q}")));
                 }
             }
@@ -543,7 +543,7 @@ impl SessionCore {
                 .collect(),
             ConfSet::Compiled { auto, ids, .. } => ids
                 .iter()
-                .map(|&id| render(&auto.token_tasks(id, &encoded.observability)))
+                .map(|&id| render(auto.token_tasks(id, &encoded.observability)))
                 .collect(),
         }
     }
@@ -560,9 +560,7 @@ impl SessionCore {
             return Ok(FeedOutcome::Rejected(inf.clone()));
         }
         let entry_index = self.consumed;
-        if self.case_name.is_none() {
-            self.case_name = Some(entry.case.to_string());
-        }
+        self.case_name.get_or_insert(entry.case);
 
         // Chaos failpoints (inert unless a test armed them).
         if self.opts.failpoints.panic_case == Some(entry.case) {
@@ -832,7 +830,7 @@ impl SessionCore {
             explored: self.explored,
             consumed: self.consumed,
             first_time: self.first_time,
-            case_name: self.case_name.clone(),
+            case_name: self.case_name,
         }
     }
 
@@ -870,7 +868,7 @@ impl SessionCore {
             Engine::Direct => {
                 let mut confs = Vec::with_capacity(ids.len());
                 for id in ids {
-                    let state = (*auto.state(id)).clone();
+                    let state = auto.marked(id).clone();
                     let next =
                         weak_next_traced(&state, &encoded.observability, opts.weaknext, &noop)?;
                     confs.push(Configuration { state, next });
@@ -929,7 +927,7 @@ impl SessionCore {
         };
         let evidence = if self.opts.record_evidence {
             Some(RawEvidence {
-                case: self.case_name.clone().unwrap_or_default(),
+                case: self.case_name.map(|c| c.to_string()).unwrap_or_default(),
                 // The session does not know the purpose; the auditor fills
                 // it in after purpose resolution.
                 purpose: String::new(),

@@ -11,10 +11,14 @@
 //! interned `Marked` configurations (hashed once, then identified by a dense
 //! `u32` [`StateId`]), edges map an [`Observation`] to the successor state
 //! id, and per-state caches hold `can_terminate_silently` and the token-task
-//! annotation. Everything is behind sharded `RwLock`s so the §7 parallel
-//! workers share one automaton and warm it for each other: the Nth case of a
-//! process replays with zero term rewriting — integer state-set transitions
-//! plus a role-hierarchy check.
+//! annotation. The §7 parallel workers share one automaton and warm it for
+//! each other: the Nth case of a process replays with zero term rewriting —
+//! integer state-set transitions plus a role-hierarchy check.
+//!
+//! Interning goes through sharded `RwLock`ed maps. Everything a replay
+//! step reads takes no lock: the states live in an append-only table whose
+//! slots never move, and each state's caches are set-once cells, so a warm
+//! read is a few plain loads that return borrows into the automaton.
 //!
 //! The τ-budget error path of [`weak_next`] is preserved: a failed expansion
 //! is *not* cached, so every caller sees [`ExploreError`] exactly as the
@@ -23,6 +27,7 @@
 pub mod frontier;
 pub mod snapshot;
 
+use crate::append::AppendOnly;
 use crate::error::ExploreError;
 use crate::observe::{Observability, Observation};
 use crate::term::Service;
@@ -42,24 +47,27 @@ use std::sync::{Arc, OnceLock};
 /// for the lifetime of the owning [`ProcessAutomaton`].
 pub type StateId = u32;
 
-/// The observable edges out of one state, in [`weak_next`]'s deterministic
-/// order (so the automaton engine visits successors exactly as the direct
-/// engine does).
-pub type Edges = Arc<Vec<(Observation, StateId)>>;
+/// One observable edge: the observation and the successor state. A state's
+/// edges come in [`weak_next`]'s deterministic order (so the automaton
+/// engine visits successors exactly as the direct engine does).
+pub type Edge = (Observation, StateId);
 
 /// Intern-table shards; transitions memoization already showed 16–64 shards
 /// keep write contention negligible for the parallel auditor.
 const INTERN_SHARDS: usize = 16;
 
-/// One interned state: the configuration plus lazily-filled caches.
+/// One interned state: the configuration plus lazily-filled caches. Each
+/// cache is set once; two threads racing on the same fill compute the same
+/// value (everything here is a deterministic function of the state), so the
+/// loser's copy is dropped.
 struct Node {
     state: Arc<Marked>,
-    /// `WeakNext` compiled to integer edges; `None` until first expansion.
-    edges: RwLock<Option<Edges>>,
+    /// `WeakNext` compiled to integer edges; unset until first expansion.
+    edges: OnceLock<Box<[Edge]>>,
     /// Cached `can_terminate_silently`.
-    silent: RwLock<Option<bool>>,
+    silent: OnceLock<bool>,
     /// Cached Fig. 6 token-task annotation.
-    tokens: RwLock<Option<Arc<BTreeSet<TaskInstance>>>>,
+    tokens: OnceLock<BTreeSet<TaskInstance>>,
 }
 
 /// Counters for the bench report (all monotone, relaxed).
@@ -99,8 +107,8 @@ impl AutomatonStats {
 pub struct ProcessAutomaton {
     /// `Marked` → id interning, sharded by state hash.
     shards: [RwLock<HashMap<Arc<Marked>, StateId>>; INTERN_SHARDS],
-    /// Append-only node table indexed by [`StateId`].
-    nodes: RwLock<Vec<Arc<Node>>>,
+    /// Append-only node table indexed by [`StateId`]; read without a lock.
+    nodes: AppendOnly<Node>,
     /// The interned initial state (computed once; avoids re-normalizing the
     /// full process term on every session open).
     initial: OnceLock<StateId>,
@@ -118,10 +126,11 @@ impl Default for ProcessAutomaton {
 }
 
 impl ProcessAutomaton {
+    /// An empty automaton. Allocates nothing until the first intern.
     pub fn new() -> ProcessAutomaton {
         ProcessAutomaton {
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            nodes: RwLock::new(Vec::new()),
+            nodes: AppendOnly::new(),
             initial: OnceLock::new(),
             edge_hits: AtomicU64::new(0),
             edge_misses: AtomicU64::new(0),
@@ -137,7 +146,7 @@ impl ProcessAutomaton {
     }
 
     /// Intern `state`, returning its stable id. Lock order is shard → node
-    /// table; `weak_next` is never run under either lock.
+    /// table append; `weak_next` is never run under either lock.
     pub fn intern(&self, state: Marked) -> StateId {
         let shard = &self.shards[Self::shard_of(&state)];
         if let Some(&id) = shard.read().get(&state) {
@@ -148,15 +157,13 @@ impl ProcessAutomaton {
             return id;
         }
         let state = Arc::new(state);
-        let mut nodes = self.nodes.write();
-        let id = nodes.len() as StateId;
-        nodes.push(Arc::new(Node {
+        let (id, _) = self.nodes.push(Node {
             state: state.clone(),
-            edges: RwLock::new(None),
-            silent: RwLock::new(None),
-            tokens: RwLock::new(None),
-        }));
-        drop(nodes);
+            edges: OnceLock::new(),
+            silent: OnceLock::new(),
+            tokens: OnceLock::new(),
+        });
+        let id = id as StateId;
         wr.insert(state, id);
         id
     }
@@ -168,18 +175,26 @@ impl ProcessAutomaton {
             .get_or_init(|| self.intern(Marked::initial(service)))
     }
 
-    fn node(&self, id: StateId) -> Arc<Node> {
-        self.nodes.read()[id as usize].clone()
+    fn node(&self, id: StateId) -> &Node {
+        self.nodes
+            .get(id as usize)
+            .expect("state id issued by this automaton")
     }
 
-    /// The interned configuration behind `id`.
+    /// The interned configuration behind `id`, shared.
     pub fn state(&self, id: StateId) -> Arc<Marked> {
         self.node(id).state.clone()
     }
 
+    /// The interned configuration behind `id`, borrowed: the replay step's
+    /// read, with no reference-count traffic.
+    pub fn marked(&self, id: StateId) -> &Marked {
+        &self.node(id).state
+    }
+
     /// Number of interned states.
     pub fn len(&self) -> usize {
-        self.nodes.read().len()
+        self.nodes.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -189,54 +204,53 @@ impl ProcessAutomaton {
     /// The observable edges out of `id`, compiling them via [`weak_next`] on
     /// first demand. Edge order equals `weak_next`'s sorted successor order.
     /// A τ-budget failure is returned uncached, exactly like the direct
-    /// path; two threads racing on the same expansion write identical edge
-    /// vectors (weak_next is deterministic and interning is stable), so the
-    /// benign double-store needs no extra synchronization.
+    /// path; two threads racing on the same expansion compute identical
+    /// edge lists (weak_next is deterministic and interning is stable), and
+    /// the first one stored is kept.
     pub fn successors(
         &self,
         id: StateId,
         obs: &dyn Observability,
         limits: WeakNextLimits,
-    ) -> Result<Edges, ExploreError> {
+    ) -> Result<&[Edge], ExploreError> {
         self.successors_traced(id, obs, limits, &obs::Recorder::noop())
     }
 
     /// [`successors`](Self::successors) with telemetry: a compile (cache
     /// miss) emits an [`obs::ObsEvent::AutomatonExpand`] event. Hits emit
-    /// nothing — the hot path stays a read-lock and an atomic increment.
+    /// nothing — the hot path stays a lock-free read and an atomic
+    /// increment.
     pub fn successors_traced(
         &self,
         id: StateId,
         observability: &dyn Observability,
         limits: WeakNextLimits,
         recorder: &obs::Recorder,
-    ) -> Result<Edges, ExploreError> {
+    ) -> Result<&[Edge], ExploreError> {
         let node = self.node(id);
-        if let Some(edges) = node.edges.read().as_ref() {
+        if let Some(edges) = node.edges.get() {
             self.edge_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(edges.clone());
+            return Ok(edges);
         }
         self.edge_misses.fetch_add(1, Ordering::Relaxed);
         let succ = weak_next(&node.state, observability, limits)?;
-        let edges: Edges = Arc::new(
-            succ.into_iter()
-                .map(|w| (w.observation, self.intern(w.state)))
-                .collect(),
-        );
-        *node.edges.write() = Some(edges.clone());
+        let edges: Box<[Edge]> = succ
+            .into_iter()
+            .map(|w| (w.observation, self.intern(w.state)))
+            .collect();
         recorder.emit(|| obs::ObsEvent::AutomatonExpand {
             state: id,
             successors: edges.len(),
         });
-        Ok(edges)
+        Ok(node.edges.get_or_init(|| edges))
     }
 
     /// The compiled edges of `id`, if it has already been expanded. Unlike
     /// [`successors`](Self::successors) this never runs `weak_next` and does
     /// not touch the hit/miss counters — it is the lookup the replay engine
     /// uses for states it expanded eagerly on insertion.
-    pub fn cached_edges(&self, id: StateId) -> Option<Edges> {
-        self.node(id).edges.read().clone()
+    pub fn cached_edges(&self, id: StateId) -> Option<&[Edge]> {
+        self.node(id).edges.get().map(|edges| &**edges)
     }
 
     /// [`successors`](Self::successors) materialized back into
@@ -253,7 +267,7 @@ impl ProcessAutomaton {
             .iter()
             .map(|&(observation, sid)| WeakSuccessor {
                 observation,
-                state: (*self.state(sid)).clone(),
+                state: self.marked(sid).clone(),
             })
             .collect())
     }
@@ -266,31 +280,28 @@ impl ProcessAutomaton {
         limits: WeakNextLimits,
     ) -> Result<bool, ExploreError> {
         let node = self.node(id);
-        if let Some(v) = *node.silent.read() {
+        if let Some(&v) = node.silent.get() {
             return Ok(v);
         }
         let v = can_terminate_silently(&node.state, obs, limits)?;
-        *node.silent.write() = Some(v);
-        Ok(v)
+        Ok(*node.silent.get_or_init(|| v))
     }
 
     /// Cached Fig. 6 token-task annotation of `id`.
-    pub fn token_tasks(&self, id: StateId, obs: &dyn Observability) -> Arc<BTreeSet<TaskInstance>> {
+    pub fn token_tasks(&self, id: StateId, obs: &dyn Observability) -> &BTreeSet<TaskInstance> {
         let node = self.node(id);
-        if let Some(t) = node.tokens.read().as_ref() {
-            return t.clone();
-        }
-        let t = Arc::new(node.state.token_tasks(obs));
-        *node.tokens.write() = Some(t.clone());
-        t
+        node.tokens.get_or_init(|| node.state.token_tasks(obs))
     }
 
     /// Snapshot the compilation counters.
     pub fn stats(&self) -> AutomatonStats {
-        let nodes = self.nodes.read();
         AutomatonStats {
-            states: nodes.len(),
-            expanded: nodes.iter().filter(|n| n.edges.read().is_some()).count(),
+            states: self.nodes.len(),
+            expanded: self
+                .nodes
+                .iter()
+                .filter(|n| n.edges.get().is_some())
+                .count(),
             edge_hits: self.edge_hits.load(Ordering::Relaxed),
             edge_misses: self.edge_misses.load(Ordering::Relaxed),
             loaded_states: self.loaded_states.load(Ordering::Relaxed),
@@ -360,6 +371,24 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(auto.len(), 1);
         assert_eq!(*auto.state(a), m);
+    }
+
+    #[test]
+    fn ids_on_table_bucket_boundaries_round_trip() {
+        let auto = ProcessAutomaton::new();
+        let states: Vec<Marked> = (0..1030)
+            .map(|i| Marked::initial(&invoke(ep("P", format!("boundary-{i}").as_str()))))
+            .collect();
+        for (i, m) in states.iter().enumerate() {
+            assert_eq!(auto.intern(m.clone()) as usize, i);
+        }
+        for id in [0u32, 1, 2, 3, 6, 7, 14, 15, 1022, 1023, 1029] {
+            let m = &states[id as usize];
+            assert_eq!(auto.marked(id), m);
+            assert_eq!(*auto.state(id), *m);
+            assert_eq!(auto.intern(m.clone()), id);
+        }
+        assert_eq!(auto.len(), 1030);
     }
 
     #[test]

@@ -586,12 +586,12 @@ impl MergeReport {
 
 /// Serialize the automaton's current compilation, keyed by `key`.
 ///
-/// The node table is append-only, so a consistent view is a clone of the
-/// `Arc` list; an edge table compiled concurrently with the snapshot may
-/// reference states interned after the clone and is skipped (it will be
-/// recompiled on load — correctness over completeness).
+/// The node table is append-only, so a consistent view is its prefix at
+/// the start of the encode; an edge table compiled concurrently with the
+/// snapshot may reference states interned after that point and is skipped
+/// (it will be recompiled on load — correctness over completeness).
 pub fn encode_snapshot(auto: &ProcessAutomaton, key: u64) -> Vec<u8> {
-    let nodes: Vec<Arc<super::Node>> = auto.nodes.read().clone();
+    let nodes: Vec<&super::Node> = auto.nodes.iter().collect();
     let n = nodes.len();
     let mut enc = Encoder::new();
 
@@ -610,8 +610,7 @@ pub fn encode_snapshot(auto: &ProcessAutomaton, key: u64) -> Vec<u8> {
     }
 
     for node in &nodes {
-        let edges = node.edges.read().clone();
-        match edges {
+        match node.edges.get() {
             Some(list) if list.iter().all(|&(_, t)| (t as usize) < n) => {
                 enc.put_u8(1);
                 enc.put_len(list.len());
@@ -632,7 +631,7 @@ pub fn encode_snapshot(auto: &ProcessAutomaton, key: u64) -> Vec<u8> {
     }
 
     for node in &nodes {
-        enc.put_u8(match *node.silent.read() {
+        enc.put_u8(match node.silent.get().copied() {
             None => 0,
             Some(false) => 1,
             Some(true) => 2,
@@ -640,11 +639,10 @@ pub fn encode_snapshot(auto: &ProcessAutomaton, key: u64) -> Vec<u8> {
     }
 
     for node in &nodes {
-        let tokens = node.tokens.read().clone();
-        match tokens {
+        match node.tokens.get() {
             Some(set) => {
                 enc.put_u8(1);
-                enc.put_task_set(&set);
+                enc.put_task_set(set);
             }
             None => enc.put_u8(0),
         }
@@ -808,7 +806,7 @@ pub fn decode_snapshot(bytes: &[u8], expected_key: u64) -> Result<DecodedSnapsho
     })
 }
 
-/// Merge a decoded snapshot into a live automaton under its sharded locks.
+/// Merge a decoded snapshot into a live automaton.
 ///
 /// States are interned (deduplicating against anything already live), edge
 /// targets are remapped to live ids, and every adopted edge table is
@@ -833,47 +831,38 @@ pub fn merge_snapshot(auto: &ProcessAutomaton, snap: DecodedSnapshot) -> MergeRe
     for (i, entry) in snap.edges.into_iter().enumerate() {
         let Some(list) = entry else { continue };
         let node = auto.node(map[i]);
-        if node.edges.read().is_some() {
+        if node.edges.get().is_some() {
             continue;
         }
         // Remap, then re-sort in the current run's `weak_next` order:
         // (observation, running, service) over the *target* states.
-        let mut remapped: Vec<(Observation, StateId, Arc<Marked>)> = list
+        let mut remapped: Vec<(Observation, StateId, &Marked)> = list
             .into_iter()
             .map(|(obs, t)| {
                 let id = map[t as usize];
-                (obs, id, auto.state(id))
+                (obs, id, auto.marked(id))
             })
             .collect();
         remapped.sort_by(|a, b| {
             (a.0, &a.2.running, &a.2.service).cmp(&(b.0, &b.2.running, &b.2.service))
         });
         remapped.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-        let edges: super::Edges =
-            Arc::new(remapped.into_iter().map(|(o, id, _)| (o, id)).collect());
-        let mut wr = node.edges.write();
-        if wr.is_none() {
-            *wr = Some(edges);
+        let edges = remapped.into_iter().map(|(o, id, _)| (o, id)).collect();
+        if node.edges.set(edges).is_ok() {
             report.edges_loaded += 1;
         }
     }
 
     for (i, entry) in snap.silent.into_iter().enumerate() {
         let Some(v) = entry else { continue };
-        let node = auto.node(map[i]);
-        let mut wr = node.silent.write();
-        if wr.is_none() {
-            *wr = Some(v);
+        if auto.node(map[i]).silent.set(v).is_ok() {
             report.silent_loaded += 1;
         }
     }
 
     for (i, entry) in snap.tokens.into_iter().enumerate() {
         let Some(set) = entry else { continue };
-        let node = auto.node(map[i]);
-        let mut wr = node.tokens.write();
-        if wr.is_none() {
-            *wr = Some(Arc::new(set));
+        if auto.node(map[i]).tokens.set(set).is_ok() {
             report.tokens_loaded += 1;
         }
     }

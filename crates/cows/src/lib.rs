@@ -47,6 +47,7 @@
 //! assert_eq!(lts.edge_count(), 2);
 //! ```
 
+mod append;
 pub mod automaton;
 pub mod dot;
 pub mod equiv;

@@ -8,7 +8,14 @@
 //!
 //! Interning keeps services cheap to hash and compare, which matters because
 //! LTS exploration deduplicates millions of structurally-congruent states.
+//!
+//! Each string is stored once, in an append-only table indexed by the
+//! symbol, so [`Symbol::as_str`] — on every `Display`, every case-to-purpose
+//! resolution and every role-hierarchy fingerprint — is a lock-free read.
+//! Only [`Symbol::new`] and [`Symbol::lookup`] consult the string-to-index
+//! map, behind its `RwLock`.
 
+use crate::append::AppendOnly;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
@@ -22,17 +29,18 @@ use std::sync::OnceLock;
 pub struct Symbol(u32);
 
 struct Interner {
-    strings: Vec<&'static str>,
-    lookup: HashMap<&'static str, u32>,
+    /// The strings, indexed by symbol. Never shrinks, so a `'static`
+    /// borrow of an entry stays valid.
+    strings: AppendOnly<Box<str>>,
+    /// String → index, keyed by borrows of `strings`.
+    lookup: RwLock<HashMap<&'static str, u32>>,
 }
 
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner {
-            strings: Vec::new(),
-            lookup: HashMap::new(),
-        })
+fn interner() -> &'static Interner {
+    static INTERNER: OnceLock<Interner> = OnceLock::new();
+    INTERNER.get_or_init(|| Interner {
+        strings: AppendOnly::new(),
+        lookup: RwLock::new(HashMap::new()),
     })
 }
 
@@ -40,23 +48,19 @@ impl Symbol {
     /// Interns `text` and returns its symbol. Calling this twice with the
     /// same string returns the same symbol.
     pub fn new(text: &str) -> Symbol {
-        {
-            let rd = interner().read();
-            if let Some(&id) = rd.lookup.get(text) {
-                return Symbol(id);
-            }
-        }
-        let mut wr = interner().write();
-        if let Some(&id) = wr.lookup.get(text) {
+        let interner = interner();
+        if let Some(&id) = interner.lookup.read().get(text) {
             return Symbol(id);
         }
-        let id = u32::try_from(wr.strings.len()).expect("interner overflow");
-        // Leaking is fine: the set of identifiers in any workload is small
-        // and bounded (BPMN element names), and leaking gives us `&'static`
-        // keys without a self-referential struct.
-        let owned: &'static str = Box::leak(text.to_owned().into_boxed_str());
-        wr.strings.push(owned);
-        wr.lookup.insert(owned, id);
+        let mut wr = interner.lookup.write();
+        if let Some(&id) = wr.get(text) {
+            return Symbol(id);
+        }
+        // The table is never dropped, so its entries serve as the map's
+        // `&'static` keys without a self-referential struct.
+        let (id, owned) = interner.strings.push(text.into());
+        let id = u32::try_from(id).expect("interner overflow");
+        wr.insert(owned, id);
         Symbol(id)
     }
 
@@ -64,12 +68,15 @@ impl Symbol {
     /// probing with untrusted text (an id from a URL, a column of a trail
     /// being parsed in parallel) cannot grow the interner.
     pub fn lookup(text: &str) -> Option<Symbol> {
-        interner().read().lookup.get(text).map(|&id| Symbol(id))
+        interner().lookup.read().get(text).map(|&id| Symbol(id))
     }
 
-    /// The interned string.
+    /// The interned string. Takes no lock.
     pub fn as_str(self) -> &'static str {
-        interner().read().strings[self.0 as usize]
+        interner()
+            .strings
+            .get(self.0 as usize)
+            .expect("symbol issued by the interner")
     }
 
     /// Raw interner index; stable within a process run only.
@@ -89,19 +96,9 @@ impl Symbol {
         }
     }
 
-    /// How many symbols the interner has issued so far. The interner only
-    /// grows, so a decoder validating many indices can snapshot this once
-    /// and check each against the bound via [`Symbol::from_index_below`]
-    /// instead of taking the interner lock per symbol.
+    /// How many symbols the interner has issued so far. Takes no lock.
     pub fn interned_len() -> u32 {
-        interner().read().strings.len() as u32
-    }
-
-    /// Lock-free [`Symbol::try_from_index`] against a caller-held
-    /// [`Symbol::interned_len`] snapshot. Sound for any snapshot taken
-    /// *after* the indices were issued: indices are never reused.
-    pub fn from_index_below(index: u32, known: u32) -> Option<Symbol> {
-        (index < known).then_some(Symbol(index))
+        interner().strings.len() as u32
     }
 }
 

@@ -4,6 +4,7 @@
 //! ordering ≥R … r1 ≥R r2 means r1 is a specialization of r2". A
 //! cardiologist is a physician: `Cardiologist ≥R Physician`.
 
+use cows::automaton::frontier::FxBuildHasher;
 use cows::symbol::Symbol;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -13,6 +14,12 @@ use std::collections::{HashMap, HashSet};
 pub struct RoleHierarchy {
     /// `generalizations[r]` = direct generalizations of `r`.
     generalizations: HashMap<Symbol, Vec<Symbol>>,
+    /// `ancestors[r]` = every strict generalization of `r`, direct or
+    /// transitive, sorted. Maintained by [`RoleHierarchy::specializes`] so
+    /// that [`RoleHierarchy::is_specialization_of`], which replay asks for
+    /// every candidate edge of every entry, is one lookup and a binary
+    /// search instead of a walk.
+    ancestors: HashMap<Symbol, Vec<Symbol>, FxBuildHasher>,
     /// Every role ever mentioned.
     roles: HashSet<Symbol>,
 }
@@ -66,30 +73,33 @@ impl RoleHierarchy {
         self.roles.insert(s);
         self.roles.insert(g);
         self.generalizations.entry(s).or_default().push(g);
+        // Every role at or below `s` gains `g` and everything above it.
+        let mut gained = self.ancestors(g).to_vec();
+        gained.push(g);
+        let below: Vec<Symbol> = self
+            .roles
+            .iter()
+            .copied()
+            .filter(|&r| self.is_specialization_of(r, s))
+            .collect();
+        for r in below {
+            let ancestors = self.ancestors.entry(r).or_default();
+            ancestors.extend_from_slice(&gained);
+            ancestors.sort_unstable();
+            ancestors.dedup();
+        }
         Ok(())
     }
 
+    /// The strict generalizations of `r`, sorted.
+    fn ancestors(&self, r: Symbol) -> &[Symbol] {
+        self.ancestors.get(&r).map_or(&[], Vec::as_slice)
+    }
+
     /// Whether `a ≥R b` (a specializes b). Reflexive and transitive.
+    /// Allocation-free.
     pub fn is_specialization_of(&self, a: Symbol, b: Symbol) -> bool {
-        if a == b {
-            return true;
-        }
-        let mut stack = vec![a];
-        let mut seen = HashSet::new();
-        while let Some(r) = stack.pop() {
-            if !seen.insert(r) {
-                continue;
-            }
-            if let Some(gs) = self.generalizations.get(&r) {
-                for &g in gs {
-                    if g == b {
-                        return true;
-                    }
-                    stack.push(g);
-                }
-            }
-        }
-        false
+        a == b || self.ancestors(a).binary_search(&b).is_ok()
     }
 
     /// A content fingerprint of the partial order: equal hierarchies (same
@@ -116,16 +126,9 @@ impl RoleHierarchy {
 
     /// All roles `b` such that `a ≥R b`, including `a`.
     pub fn generalizations_of(&self, a: Symbol) -> HashSet<Symbol> {
-        let mut out = HashSet::new();
-        let mut stack = vec![a];
-        while let Some(r) = stack.pop() {
-            if out.insert(r) {
-                if let Some(gs) = self.generalizations.get(&r) {
-                    stack.extend(gs.iter().copied());
-                }
-            }
-        }
-        out
+        std::iter::once(a)
+            .chain(self.ancestors(a).iter().copied())
+            .collect()
     }
 
     pub fn roles(&self) -> impl Iterator<Item = Symbol> + '_ {
@@ -137,6 +140,25 @@ impl RoleHierarchy {
 mod tests {
     use super::*;
     use cows::sym;
+    use proptest::prelude::*;
+
+    /// The walk `is_specialization_of` did before the closure: a DFS over
+    /// direct generalizations with a visited set.
+    fn walk(h: &RoleHierarchy, a: Symbol, b: Symbol) -> bool {
+        let mut stack = vec![a];
+        let mut seen = HashSet::new();
+        while let Some(r) = stack.pop() {
+            if r == b {
+                return true;
+            }
+            if seen.insert(r) {
+                if let Some(gs) = h.generalizations.get(&r) {
+                    stack.extend(gs.iter().copied());
+                }
+            }
+        }
+        false
+    }
 
     fn hospital() -> RoleHierarchy {
         let mut h = RoleHierarchy::new();
@@ -188,5 +210,38 @@ mod tests {
         assert!(gs.contains(&sym("Physician")));
         assert!(gs.contains(&sym("HospitalStaff")));
         assert!(!gs.contains(&sym("Cardiologist")));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On random acyclic hierarchies (an edge always runs from a lower
+        /// to a higher role number), the closure answers every pair of
+        /// roles — and a role outside the hierarchy — as the walk does, and
+        /// a cycle-closing edge is still refused.
+        #[test]
+        fn closure_agrees_with_the_walk(
+            edges in prop::collection::vec((0u8..10, 0u8..10), 0..30),
+        ) {
+            let role = |i: u8| sym(&format!("prop-role-{i}"));
+            let mut h = RoleHierarchy::new();
+            for &(x, y) in &edges {
+                let (lo, hi) = (x.min(y), x.max(y));
+                if lo < hi {
+                    h.specializes(role(lo), role(hi)).unwrap();
+                    prop_assert!(h.specializes(role(hi), role(lo)).is_err());
+                }
+            }
+            for a in 0..11 {
+                for b in 0..11 {
+                    let (a, b) = (role(a), role(b));
+                    prop_assert_eq!(h.is_specialization_of(a, b), walk(&h, a, b));
+                }
+                let a = role(a);
+                let closure: HashSet<Symbol> =
+                    (0..11).map(role).filter(|&b| walk(&h, a, b)).collect();
+                prop_assert_eq!(h.generalizations_of(a), closure);
+            }
+        }
     }
 }

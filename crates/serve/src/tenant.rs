@@ -8,12 +8,13 @@
 //! ```
 //!
 //! holds at *every instant* under the tenant lock, not just at quiescence.
-//! The ingest worker preserves it by construction: it clones the front
-//! batch, replays it through the monitor, and only then — under the lock —
-//! pops the batch and moves its count from `queued_entries` to
-//! `entries_audited`. A reader sampling the counters mid-ingest sees the
-//! batch still queued; it never sees entries in limbo. The soak test
-//! (`cargo test -- --ignored soak`) hammers this from 8 threads.
+//! The ingest worker preserves it by construction: it takes a shared handle
+//! on the front batch, replays it through the monitor, and only then —
+//! under the lock — pops the batch and moves its count from
+//! `queued_entries` to `entries_audited`. A reader sampling the counters
+//! mid-ingest sees the batch still queued; it never sees entries in limbo.
+//! The soak test (`cargo test -- --ignored soak`) hammers this from 8
+//! threads.
 //!
 //! A checkpoint's stream offset does not come from these counters: the
 //! monitor handle advances it inside the same lock that replays a batch,
@@ -32,7 +33,7 @@ use purpose_control::pool::MonitorHandle;
 use purpose_control::{register_audit_metrics, CheckError, LiveConfig, ShardedMonitor};
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// The monotonic counters behind the invariant, plus queue bookkeeping.
 #[derive(Default)]
@@ -57,9 +58,10 @@ struct TraceCtx {
     queue_wait: obs::OpenSpan,
 }
 
-/// One admitted batch awaiting replay.
+/// One admitted batch awaiting replay. The parsed entries are moved in at
+/// admission and shared with the worker, never copied.
 struct Batch {
-    entries: Vec<LogEntry>,
+    entries: Arc<[LogEntry]>,
     /// When the batch entered the queue (queue-wait latency histogram —
     /// recorded whether or not the request is traced).
     queued_at: std::time::Instant,
@@ -163,6 +165,7 @@ impl Tenant {
         let kept = trail.len() as u64;
         let scanned = quarantine.scanned as u64;
         let quarantined = scanned - kept;
+        let entries: Arc<[LogEntry]> = trail.into_iter().collect();
         let mut q = self.lock();
         if q.counters.queued_entries + kept > self.watermark {
             q.counters.batches_rejected += 1;
@@ -193,7 +196,7 @@ impl Tenant {
                 }
             });
             q.batches.push_back(Batch {
-                entries: trail.entries().to_vec(),
+                entries,
                 queued_at: std::time::Instant::now(),
                 trace: ctx,
             });
@@ -224,7 +227,7 @@ impl Tenant {
                     }
                     if let Some(front) = q.batches.front() {
                         break (
-                            front.entries.clone(),
+                            Arc::clone(&front.entries),
                             front.queued_at,
                             front
                                 .trace

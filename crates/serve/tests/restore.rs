@@ -223,6 +223,38 @@ fn checkpoint_with_queued_batches_resumes_to_identical_alarms() {
     }
 }
 
+/// The worker shares the front batch with the queue and pops it only once
+/// the monitor has ingested it: a replay failure leaves the batch, and its
+/// count, queued (the tenant turns read-only), while a successful replay
+/// moves every entry to `entries_audited`.
+#[test]
+fn batches_leave_the_queue_only_after_a_successful_replay() {
+    let trail = figure4_trail();
+    let body = format_trail(&trail);
+    let n = trail.len() as u64;
+    // A zero step budget fails the first entry the monitor feeds.
+    for (max_explored, replays) in [(Some(0), false), (None, true)] {
+        let mut auditor = hospital_auditor();
+        auditor.options.max_explored = max_explored;
+        let monitor = ShardedMonitor::new(auditor, &LiveConfig::default(), 2);
+        let tenant = Tenant::new("t", MonitorHandle::new(monitor, 0), 1_000);
+        assert!(matches!(
+            tenant.submit(&body, None),
+            Admission::Accepted { accepted, .. } if accepted == n
+        ));
+        // Closed first, so the worker returns once drained or failed.
+        tenant.close();
+        tenant.worker_loop();
+        let c = tenant.counters();
+        assert_eq!(tenant.drain(), replays);
+        assert_eq!(tenant.worker_failed(), !replays);
+        let (queued, audited) = if replays { (0, n) } else { (n, 0) };
+        assert_eq!((c.queued_entries, c.entries_audited), (queued, audited));
+        assert_eq!(c.lines_accepted, c.entries_audited + c.queued_entries);
+        assert_eq!(tenant.stream_offset(), audited);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
